@@ -6,10 +6,11 @@ Run from the repository root:
     python3 perfbench/run.py --workload banked|cold|churn --seed N --seconds S --trace 0|1
 
 Builds the `elpc-serve` daemon and the benchmark driver (release, offline)
-into $CARGO_TARGET_DIR (default `.bench_build`), then runs the driver, which
-boots the daemon, drives the workload and prints one JSON result as its last
-stdout line. Build output goes to stderr. Exits non-zero when the sources
-are missing, the build fails, or the run fails its correctness gate.
+into $CARGO_TARGET_DIR (default `.bench_build`), then runs the driver pinned
+to one CPU. The driver boots the daemon, drives the workload and prints one
+JSON result as its last stdout line. Build output goes to stderr. Exits
+non-zero when the sources are missing, the build fails, or the run fails its
+correctness gate.
 """
 
 import hashlib
@@ -79,6 +80,10 @@ def main():
     cargo_build(["-p", "elpc-serving", "--bin", "elpc-serve"])
     cargo_build(["--manifest-path", "perfbench/Cargo.toml"])
     release = os.path.join(target, "release")
+    # The driver, the daemon and its workers share one CPU: at concurrency 1
+    # only one of them runs at a time, and no hand-off waits for a second,
+    # idle vCPU to be scheduled by the host.
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     cmd = [
         os.path.join(release, "perfbench"),
         "--daemon",

@@ -1,5 +1,5 @@
-//! The closed-loop driver: one thread and one [`Client`] per stream, each
-//! sending its next request only after the previous reply arrived.
+//! The closed-loop driver: one [`Client`] whose streams take turns, each
+//! request sent only after the previous reply arrived.
 
 use crate::workload::{Call, Check, Planned, Stream};
 use elpc_mapping::NodeId;
@@ -102,70 +102,48 @@ impl ConnLog {
     }
 }
 
-/// Sends each stream's set-up calls on its own connection, in parallel.
-pub fn setup(socket: &Path, streams: &mut [Stream]) -> Result<Vec<ConnLog>, String> {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = streams
-            .iter_mut()
-            .map(|stream| {
-                s.spawn(move || -> Result<ConnLog, String> {
-                    let mut client = Client::connect(socket).map_err(|e| e.to_string())?;
-                    let mut log = ConnLog::default();
-                    for plan in stream.setup_calls() {
-                        log.exchange(&mut client, stream, plan, false);
-                    }
-                    Ok(log)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("set-up thread panicked"))
-            .collect()
-    })
+/// Sends every stream's set-up calls over one connection, stream by stream.
+pub fn setup(socket: &Path, streams: &mut [Stream]) -> Result<ConnLog, String> {
+    let mut client = Client::connect(socket).map_err(|e| e.to_string())?;
+    let mut log = ConnLog::default();
+    for stream in streams {
+        for plan in stream.setup_calls() {
+            log.exchange(&mut client, stream, plan, false);
+        }
+    }
+    Ok(log)
 }
 
-/// The closed loop: every stream warms up until `start`, then sends timed
-/// calls until `end`. Banked connections poll `Client::stats` every
-/// `stats_every` calls, as an operator's monitor would.
+/// The closed loop over one connection: the streams take turns, and each
+/// call is sent only after the previous reply arrived. Calls warm up until
+/// `start`, then are timed until `end`. `banked` polls `Client::stats`
+/// every `stats_every` calls, as an operator's monitor would.
 pub fn closed_loop(
     socket: &Path,
     streams: &mut [Stream],
     start: Instant,
     end: Instant,
     stats_every: Option<u64>,
-) -> Result<Vec<ConnLog>, String> {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = streams
-            .iter_mut()
-            .map(|stream| {
-                s.spawn(move || -> Result<ConnLog, String> {
-                    let mut client = Client::connect(socket).map_err(|e| e.to_string())?;
-                    let mut log = ConnLog::default();
-                    let mut calls = 0u64;
-                    loop {
-                        let now = Instant::now();
-                        if now >= end {
-                            return Ok(log);
-                        }
-                        let timed = now >= start;
-                        let plan = stream.next(timed);
-                        log.exchange(&mut client, stream, plan, timed);
-                        calls += 1;
-                        if stats_every.is_some_and(|k| calls.is_multiple_of(k)) {
-                            client
-                                .stats()
-                                .map_err(|e| format!("stats poll failed: {e}"))?;
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("load thread panicked"))
-            .collect()
-    })
+) -> Result<ConnLog, String> {
+    let mut client = Client::connect(socket).map_err(|e| e.to_string())?;
+    let mut log = ConnLog::default();
+    let mut calls = 0u64;
+    loop {
+        let now = Instant::now();
+        if now >= end {
+            return Ok(log);
+        }
+        let timed = now >= start;
+        let stream = &mut streams[calls as usize % streams.len()];
+        let plan = stream.next(timed);
+        log.exchange(&mut client, stream, plan, timed);
+        calls += 1;
+        if stats_every.is_some_and(|k| calls.is_multiple_of(k)) {
+            client
+                .stats()
+                .map_err(|e| format!("stats poll failed: {e}"))?;
+        }
+    }
 }
 
 /// Nearest-rank percentile of an ascending slice.

@@ -5,8 +5,8 @@
 //!           [--rev REV] [--rustc VERSION]
 //! ```
 //!
-//! `--trace 0` boots the daemon (2 workers), drives it closed-loop from two
-//! connections through the public `Client`, and prints the end-to-end
+//! `--trace 0` boots the daemon (2 workers), drives it closed-loop from one
+//! connection through the public `Client`, and prints the end-to-end
 //! metrics. `--trace 1` sends the same workload one request at a time and
 //! replays each in process through every layer's public call, printing the
 //! per-layer metrics. Both gate every run on bit-identical answers and the
@@ -28,14 +28,12 @@ use std::time::Instant;
 use trace::{Mirror, Traced, Tracer};
 use workload::{Kind, Stream};
 
-/// Closed-loop connections of the untraced run.
-const CONNS: usize = 2;
 /// Set-ups per untraced run; `setup_s` is their median.
-const SETUP_REPS: usize = 5;
+const SETUP_REPS: usize = 7;
 /// Untimed traffic between set-up and the timed window: the daemon's
 /// throughput still rises over its first few thousand requests.
 const WARMUP_S: f64 = 3.0;
-/// `banked` connections poll `Client::stats` once per this many calls.
+/// `banked` polls `Client::stats` once per this many calls.
 const STATS_EVERY: u64 = 50;
 /// The traced run polls `Client::stats` once per this many calls.
 const TRACED_STATS_EVERY: u64 = 10;
@@ -116,13 +114,6 @@ fn socket_path(tag: &str) -> PathBuf {
     Path::new(STATE_DIR).join(format!("{}-{tag}.sock", std::process::id()))
 }
 
-fn total_logs(logs: &[ConnLog]) -> (u64, u64) {
-    (
-        logs.iter().map(|l| l.attempted).sum(),
-        logs.iter().map(|l| l.failed).sum(),
-    )
-}
-
 /// (steal, total) clock ticks of the host's CPUs so far, from `/proc/stat`:
 /// the share of time the hypervisor gave this machine's CPUs to others.
 fn host_ticks() -> Option<(u64, u64)> {
@@ -145,11 +136,11 @@ fn stats_of(daemon: &Daemon) -> Result<elpc_serving::StatsReply, String> {
 }
 
 /// Boots a daemon, generates the workload and makes its deposits.
-fn set_up(args: &Args, tag: &str) -> Result<(Daemon, Vec<Stream>, Vec<ConnLog>), String> {
+fn set_up(args: &Args, tag: &str) -> Result<(Daemon, Vec<Stream>, ConnLog), String> {
     let daemon = Daemon::boot(&args.daemon, socket_path(tag))?;
-    let mut streams = workload::streams(args.kind, args.seed, CONNS);
-    let logs = load::setup(daemon.socket(), &mut streams)?;
-    Ok((daemon, streams, logs))
+    let mut streams = workload::streams(args.kind, args.seed);
+    let log = load::setup(daemon.socket(), &mut streams)?;
+    Ok((daemon, streams, log))
 }
 
 fn run_untraced(args: &Args) -> Result<Outcome, String> {
@@ -165,20 +156,20 @@ fn run_untraced(args: &Args) -> Result<Outcome, String> {
             kept = Some((daemon, streams, logs));
         }
     }
-    let (daemon, mut streams, mut logs) = kept.expect("at least one set-up ran");
+    let (daemon, mut streams, setup_log) = kept.expect("at least one set-up ran");
 
     let start = Instant::now() + secs(WARMUP_S);
     let end = start + secs(args.seconds);
     let stats_every = (args.kind == Kind::Banked).then_some(STATS_EVERY);
-    let (loop_logs, (cpu0, host0)) = std::thread::scope(|s| {
+    let (loop_log, (cpu0, host0)) = std::thread::scope(|s| {
         let cpu0 = s.spawn(|| {
             load::sleep_until(start);
             (daemon.cpu_s(), host_ticks())
         });
-        let logs = load::closed_loop(daemon.socket(), &mut streams, start, end, stats_every);
-        (logs, cpu0.join().expect("cpu sampler panicked"))
+        let log = load::closed_loop(daemon.socket(), &mut streams, start, end, stats_every);
+        (log, cpu0.join().expect("cpu sampler panicked"))
     });
-    let loop_logs = loop_logs?;
+    let loop_log = loop_log?;
     let cpu_s = daemon.cpu_s()? - cpu0?;
     let steal = match (host0, host_ticks()) {
         (Some((s0, t0)), Some((s1, t1))) if t1 > t0 => (s1 - s0) as f64 / (t1 - t0) as f64,
@@ -188,24 +179,17 @@ fn run_untraced(args: &Args) -> Result<Outcome, String> {
     let stats = stats_of(&daemon)?;
     daemon.stop()?;
 
-    let (attempted, failed) = total_logs(&loop_logs);
-    let mut lat: Vec<f64> = loop_logs
-        .iter()
-        .flat_map(|l| l.latencies_ms.clone())
-        .collect();
+    let (attempted, failed) = (loop_log.attempted, loop_log.failed);
+    let mut lat = loop_log.latencies_ms.clone();
     lat.sort_by(f64::total_cmp);
     if lat.is_empty() {
         return Err("no request succeeded in the timed window".into());
     }
-    let last = loop_logs
-        .iter()
-        .filter_map(|l| l.last_done)
-        .max()
-        .expect("a timed reply exists");
+    let last = loop_log.last_done.expect("a timed reply exists");
     let wall_s = (last - start).as_secs_f64();
     let ok = lat.len() as f64;
 
-    logs.extend(loop_logs);
+    let logs = [setup_log, loop_log];
     let gate = gate::check_ledger(&stats, &logs, args.kind)
         .and_then(|()| gate::check_replies(args.kind, &streams, &logs));
     let (correct, gap) = match gate {
@@ -219,14 +203,16 @@ fn run_untraced(args: &Args) -> Result<Outcome, String> {
             (false, f64::NAN)
         }
     };
+    let p90 = percentile(&lat, 0.9);
     let p99 = percentile(&lat, 0.99);
-    let beyond = lat.iter().filter(|&&l| l > p99).count();
+    let beyond = lat.iter().filter(|&&l| l > p90).count();
     eprintln!(
-        "perfbench: {} seed {}: {} timed replies ({} beyond p99), setups {:?} s, host steal {:.1} %",
+        "perfbench: {} seed {}: {} timed replies ({} beyond p90), p99 {:.3} ms, setups {:?} s, host steal {:.1} %",
         args.kind.name(),
         args.seed,
         lat.len(),
         beyond,
+        p99,
         setup_s,
         steal * 100.0
     );
@@ -237,7 +223,7 @@ fn run_untraced(args: &Args) -> Result<Outcome, String> {
         metrics: vec![
             metric("setup_s", median(&setup_s), "s"),
             metric("latency_p50_ms", percentile(&lat, 0.5), "ms"),
-            metric("latency_p99_ms", p99, "ms"),
+            metric("latency_p90_ms", p90, "ms"),
             metric("throughput_rps", ok / wall_s, "1/s"),
             metric("cpu_ms_per_req", cpu_s * 1e3 / ok, "ms"),
             metric("peak_rss_mb", rss_mb, "MB"),
@@ -250,7 +236,8 @@ fn run_untraced(args: &Args) -> Result<Outcome, String> {
             ),
             format!("\"timed_replies\":{}", lat.len()),
             format!("\"host_steal_frac\":{}", json_num(steal)),
-            format!("\"samples_beyond_p99\":{beyond}"),
+            format!("\"samples_beyond_p90\":{beyond}"),
+            format!("\"latency_p99_ms\":{}", json_num(p99)),
             format!(
                 "\"setup_runs_s\":[{}]",
                 setup_s.iter().map(|v| json_num(*v)).collect::<Vec<_>>().join(",")
@@ -326,7 +313,7 @@ fn run_traced(args: &Args) -> Result<Outcome, String> {
     let daemon = Daemon::boot(&args.daemon, socket_path("traced"))?;
     let mut run = TracedRun {
         client: elpc_serving::Client::connect(daemon.socket()).map_err(|e| e.to_string())?,
-        streams: workload::streams(args.kind, args.seed, CONNS),
+        streams: workload::streams(args.kind, args.seed),
         log: ConnLog::default(),
         mirror: Mirror::new(),
         tracer: Tracer::new(),
@@ -579,7 +566,7 @@ fn main() -> ExitCode {
         "release"
     };
     println!(
-        "{{\"stamp\":{{\"workload\":\"{}\",\"seed\":{},\"seconds\":{},\"trace\":{},\"cpus\":{cpus},\"profile\":\"{profile}\",\"git_rev\":\"{}\",\"rustc\":\"{}\",\"daemon_workers\":{},\"connections\":{}}},{}}}",
+        "{{\"stamp\":{{\"workload\":\"{}\",\"seed\":{},\"seconds\":{},\"trace\":{},\"cpus\":{cpus},\"profile\":\"{profile}\",\"git_rev\":\"{}\",\"rustc\":\"{}\",\"daemon_workers\":{},\"connections\":1,\"streams\":{}}},{}}}",
         args.kind.name(),
         args.seed,
         json_num(args.seconds),
@@ -587,7 +574,7 @@ fn main() -> ExitCode {
         args.rev.replace('"', "'"),
         args.rustc.replace('"', "'"),
         daemon::WORKERS,
-        if args.trace { 1 } else { CONNS },
+        args.kind.streams(),
         outcome.notes.join(",")
     );
     let metrics: Vec<String> = outcome

@@ -1,9 +1,10 @@
 //! The three workloads as deterministic request streams.
 //!
-//! Each closed-loop connection owns one [`Stream`]; the same seed always
-//! yields the same requests in the same order, and the daemon sees only
-//! the generated requests. Every call records enough in its [`Check`] for
-//! the correctness gate to re-solve the same request in process.
+//! A workload is a few [`Stream`]s taking turns on one connection; the
+//! same seed always yields the same requests in the same order, and the
+//! daemon sees only the generated requests. Every call records enough in
+//! its [`Check`] for the correctness gate to re-solve the same request in
+//! process.
 
 use elpc_mapping::{CostModel, NetworkDelta, NodeId};
 use elpc_netgraph::EdgeId;
@@ -27,24 +28,32 @@ const BANKED_NETWORKS: usize = 4;
 const SMALL: (usize, usize) = (200, 460);
 /// Size of the `churn` networks.
 const LARGE: (usize, usize) = (500, 1500);
-/// Cold requests each `cold` connection deposits during set-up.
+/// Request streams of `banked` and `cold`.
+const STREAMS: usize = 2;
+/// Evolving networks of `churn`, one per stream, so a run's figures do not
+/// hang on one or two networks' structure.
+const CHURN_NETWORKS: usize = 4;
+/// Cold requests each `cold` stream deposits during set-up.
 const COLD_SETUP_PER_CONN: usize = 8;
 /// Every this many epochs a `churn` epoch applies a crash or cut instead of
-/// bandwidth churn; fault epochs are 5 % of requests, so they set p99.
-const FAULT_EVERY: u64 = 20;
+/// bandwidth churn; fault epochs are 20 % of requests, so p90 sits in the
+/// middle of their mode, where it is steady.
+const FAULT_EVERY: u64 = 5;
 /// Links whose bandwidth a plain churn epoch degrades or restores.
 const CHURN_LINKS: usize = 3;
 /// Plain churn draws from this slowest share of the links: congestion on
 /// already slow links, which shortest-path trees seldom use, so a plain
-/// epoch repairs few trees and a fault epoch rebuilds most of them.
-const CHURN_SLOW_SHARE: f64 = 0.25;
+/// epoch repairs few trees and a fault epoch rebuilds most of them. A wider
+/// share gives plain epochs a long tail of partial rebuilds, on whose slope
+/// p50 swings from run to run.
+const CHURN_SLOW_SHARE: f64 = 0.1;
 /// One sampled `cold` request in this many goes through the gate.
 const COLD_SAMPLE_ONE_IN: u64 = 12;
-/// Cap on gated `cold` samples per connection.
+/// Cap on gated `cold` samples per stream.
 const COLD_SAMPLES_PER_CONN: usize = 12;
 /// One sampled `churn` epoch in this many goes through the gate.
 const CHURN_SAMPLE_ONE_IN: u64 = 24;
-/// Cap on gated `churn` samples per connection (each costs a cold
+/// Cap on gated `churn` samples per stream (each costs a cold
 /// reference solve of a large network).
 const CHURN_SAMPLES_PER_CONN: usize = 2;
 
@@ -66,6 +75,14 @@ impl Kind {
             "cold" => Some(Kind::Cold),
             "churn" => Some(Kind::Churn),
             _ => None,
+        }
+    }
+
+    /// Request streams of the workload; they take turns on one connection.
+    pub fn streams(self) -> usize {
+        match self {
+            Kind::Banked | Kind::Cold => STREAMS,
+            Kind::Churn => CHURN_NETWORKS,
         }
     }
 
@@ -142,16 +159,17 @@ pub struct Planned {
     pub between: Option<(Instant, Instant)>,
 }
 
-/// The per-connection request generator.
+/// A request generator; a workload's streams take turns.
 pub enum Stream {
     Banked(BankedStream),
     Cold(ColdStream),
     Churn(Box<ChurnStream>),
 }
 
-/// Builds the per-connection streams of one workload; this is the
+/// Builds the streams of one workload; this is the
 /// set-up's instance generation.
-pub fn streams(kind: Kind, seed: u64, conns: usize) -> Vec<Stream> {
+pub fn streams(kind: Kind, seed: u64) -> Vec<Stream> {
+    let conns = kind.streams();
     match kind {
         Kind::Banked => {
             let nets: Arc<Vec<ProblemInstance>> = Arc::new(
@@ -165,7 +183,7 @@ pub fn streams(kind: Kind, seed: u64, conns: usize) -> Vec<Stream> {
                         nets: Arc::clone(&nets),
                         conn: c,
                         conns,
-                        // half a solver cycle apart, so the connections'
+                        // half a solver cycle apart, so the streams'
                         // portfolio requests do not line up
                         next: (c * 2 * BANKED_NETWORKS) as u64,
                     })
@@ -189,7 +207,7 @@ pub fn streams(kind: Kind, seed: u64, conns: usize) -> Vec<Stream> {
 }
 
 impl Stream {
-    /// The requests this connection sends during set-up: the deposits
+    /// The requests this stream sends during set-up: the deposits
     /// every later request of the workload relies on.
     pub fn setup_calls(&mut self) -> Vec<Planned> {
         match self {
@@ -224,7 +242,7 @@ impl Stream {
     }
 }
 
-/// `banked`: every connection cycles over the same fixed networks.
+/// `banked`: every stream cycles over the same fixed networks.
 pub struct BankedStream {
     nets: Arc<Vec<ProblemInstance>>,
     conn: usize,
@@ -233,7 +251,7 @@ pub struct BankedStream {
 }
 
 impl BankedStream {
-    /// Connection `c` deposits networks `c, c + conns, …` with the
+    /// Stream `c` deposits networks `c, c + conns, …` with the
     /// portfolio, whose member slate materialises every tree any solver of
     /// the mix queries, so later checkouts build none.
     fn setup_calls(&self) -> Vec<Planned> {
@@ -264,7 +282,7 @@ impl BankedStream {
     }
 }
 
-/// `cold`: request `i` of connection `c` carries its own network.
+/// `cold`: request `i` of stream `c` carries its own network.
 pub struct ColdStream {
     seed: u64,
     conn: u64,
@@ -294,7 +312,7 @@ impl ColdStream {
     }
 }
 
-/// `churn`: one large network per connection, evolving epoch by epoch.
+/// `churn`: one large network per stream, evolving epoch by epoch.
 pub struct ChurnStream {
     base: ProblemInstance,
     /// The slowest links of the base network, where plain churn happens.
