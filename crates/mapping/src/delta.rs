@@ -227,6 +227,33 @@ impl NetworkDelta {
         Ok(out)
     }
 
+    /// Rebuilds the new network from the old one: a copy of `base` with
+    /// every element of the delta set to its new value.
+    ///
+    /// Every `old` value must match the element it overwrites bit for bit,
+    /// and every id must exist with the endpoints the delta names, so a
+    /// delta taken against some other network is rejected instead of
+    /// producing a hybrid. A failed link gets the sentinel
+    /// [`elpc_netsim::Network::fail_link_symmetric`] installs: bandwidth
+    /// `0.0`, its old MLD kept.
+    pub fn apply(&self, base: &Network) -> std::result::Result<Network, DeltaApplyError> {
+        let mut out = base.clone();
+        for lp in &self.links {
+            set_link(&mut out, lp.edge, (lp.src, lp.dst), &lp.old, lp.new.clone())?;
+        }
+        for lf in &self.link_failures {
+            let failed = Link::new(0.0, lf.old.mld_ms);
+            set_link(&mut out, lf.edge, (lf.src, lf.dst), &lf.old, failed)?;
+        }
+        for np in &self.nodes {
+            set_power(&mut out, np.node, np.old_power, np.new_power)?;
+        }
+        for nf in &self.node_failures {
+            set_power(&mut out, nf.node, nf.old_power, 0.0)?;
+        }
+        Ok(out)
+    }
+
     /// True when nothing changed: old and new networks are value-identical.
     pub fn is_empty(&self) -> bool {
         self.links.is_empty()
@@ -360,6 +387,100 @@ impl NetworkDelta {
         });
         perturbed.chain(failed).collect()
     }
+}
+
+/// Why [`NetworkDelta::apply`] refused a base network.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DeltaApplyError {
+    /// The delta names an edge id the base network does not have.
+    EdgeOutOfRange {
+        /// The offending edge id.
+        edge: EdgeId,
+    },
+    /// The delta names a node id the base network does not have.
+    NodeOutOfRange {
+        /// The offending node id.
+        node: NodeId,
+    },
+    /// The edge exists but joins other endpoints than the delta says.
+    EndpointMismatch {
+        /// The edge whose wiring differs.
+        edge: EdgeId,
+    },
+    /// A link's `old` value is not the value it would overwrite.
+    StaleLink {
+        /// The edge whose old value differs.
+        edge: EdgeId,
+    },
+    /// A node's old power is not the power it would overwrite.
+    StalePower {
+        /// The node whose old power differs.
+        node: NodeId,
+    },
+}
+
+impl std::fmt::Display for DeltaApplyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DeltaApplyError::EdgeOutOfRange { edge } => {
+                write!(f, "delta names edge {} beyond the base network", edge.0)
+            }
+            DeltaApplyError::NodeOutOfRange { node } => {
+                write!(f, "delta names node {} beyond the base network", node.0)
+            }
+            DeltaApplyError::EndpointMismatch { edge } => {
+                write!(f, "delta wires edge {} differently from the base", edge.0)
+            }
+            DeltaApplyError::StaleLink { edge } => {
+                write!(f, "delta's old value of edge {} is not the base's", edge.0)
+            }
+            DeltaApplyError::StalePower { node } => {
+                write!(f, "delta's old power of node {} is not the base's", node.0)
+            }
+        }
+    }
+}
+
+impl std::error::Error for DeltaApplyError {}
+
+fn set_link(
+    net: &mut Network,
+    edge: EdgeId,
+    (src, dst): (NodeId, NodeId),
+    old: &Link,
+    new: Link,
+) -> std::result::Result<(), DeltaApplyError> {
+    let e = net
+        .graph()
+        .edge(edge)
+        .map_err(|_| DeltaApplyError::EdgeOutOfRange { edge })?;
+    if e.src != src || e.dst != dst {
+        return Err(DeltaApplyError::EndpointMismatch { edge });
+    }
+    let cur = &e.payload;
+    if cur.bw_mbps.to_bits() != old.bw_mbps.to_bits()
+        || cur.mld_ms.to_bits() != old.mld_ms.to_bits()
+    {
+        return Err(DeltaApplyError::StaleLink { edge });
+    }
+    *net.link_mut(edge).expect("edge checked above") = new;
+    Ok(())
+}
+
+fn set_power(
+    net: &mut Network,
+    node: NodeId,
+    old: f64,
+    new: f64,
+) -> std::result::Result<(), DeltaApplyError> {
+    let n = net
+        .node_mut(node)
+        .map_err(|_| DeltaApplyError::NodeOutOfRange { node })?;
+    if n.power.to_bits() != old.to_bits() {
+        return Err(DeltaApplyError::StalePower { node });
+    }
+    n.power = new;
+    Ok(())
 }
 
 /// A link perturbation priced for one payload: all the invalidation rule

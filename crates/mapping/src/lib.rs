@@ -97,7 +97,8 @@ mod test_fixtures;
 pub use context::{CachedTree, ClosureStats, MetricClosure, SolveContext, TreeKey};
 pub use cost::{CostModel, Stage};
 pub use delta::{
-    LinkFailure, LinkPerturbation, NetworkDelta, NodeFailure, NodePerturbation, RepairReport,
+    DeltaApplyError, LinkFailure, LinkPerturbation, NetworkDelta, NodeFailure, NodePerturbation,
+    RepairReport,
 };
 pub use error::MappingError;
 pub use eval::{BoundedEval, DeltaEval, EvalKernel, MoveSpec};

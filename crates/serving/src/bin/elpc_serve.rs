@@ -24,8 +24,9 @@
 //! exits non-zero on any failure.
 //! `chaos` is the CI `CHAOS_SMOKE` step: it kills and restarts the daemon
 //! in the middle of a retrying closed-loop burst and proves no request is
-//! lost, then drives an open-loop overload at a tiny queue and proves the
-//! daemon sheds with exact accounting instead of queueing without bound.
+//! lost and the clients went back to sending networks by key, then drives
+//! an open-loop overload at a tiny queue and proves the daemon sheds with
+//! exact accounting instead of queueing without bound.
 //!
 //! `--retries N` (N > 1) makes `solve` and `loadgen` retry transient
 //! failures — shed replies, daemon restarts — under a deterministic
@@ -200,9 +201,10 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
         s.queue_depth, s.max_queue_depth, s.workers
     );
     println!(
-        "bank: hits={} misses={} deposits={}",
-        s.bank_hits, s.bank_misses, s.bank_deposits
+        "bank: hits={} misses={} deposits={} repairs={}",
+        s.bank_hits, s.bank_misses, s.bank_deposits, s.bank_repairs
     );
+    println!("by key: keyed={} unknown_keys={}", s.keyed, s.unknown_keys);
     println!(
         "latency over {} requests: p50={:.3}ms p99={:.3}ms max={:.3}ms",
         s.latency.count, s.latency.p50_ms, s.latency.p99_ms, s.latency.max_ms
@@ -352,7 +354,10 @@ fn cmd_smoke(args: &Args) -> Result<(), String> {
 /// 1. **Kill/restart**: a retrying closed-loop burst is mid-flight when
 ///    the daemon is torn down and rebound on the same socket. The retry
 ///    policy must carry every request across the restart — zero lost,
-///    all answered.
+///    all answered — and the clients, which send a network by key once
+///    the daemon holds it, must resend it inline to the empty restarted
+///    daemon and then go back to keyed requests, with no stale key
+///    refused.
 /// 2. **Overload**: an unpaced open-loop burst against a 1-slot queue.
 ///    The daemon must shed (typed `Overloaded`) rather than queue
 ///    without bound, keeping `requests == accepted + shed` and
@@ -427,9 +432,21 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     if finale.completed == 0 {
         return Err("restarted daemon served nothing; the kill happened too late".into());
     }
+    if finale.keyed == 0 {
+        return Err("no client sent a keyed request to the restarted daemon".into());
+    }
+    if finale.unknown_keys != 0 {
+        return Err(format!(
+            "the restarted daemon refused {} stale keys; reconnecting clients must forget them",
+            finale.unknown_keys
+        ));
+    }
+    if finale.requests != finale.accepted + finale.shed {
+        return Err("restarted daemon: requests != accepted + shed".into());
+    }
     println!(
-        "chaos: restart survived; resumed daemon completed {} of {requests}",
-        finale.completed
+        "chaos: restart survived; resumed daemon completed {} of {requests}, {} sent by key",
+        finale.completed, finale.keyed
     );
 
     // Phase 2: open-loop overload against a tiny queue must shed, not grow.

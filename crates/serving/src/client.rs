@@ -17,11 +17,25 @@
 //!   [`RetryPolicy`] (exponential backoff with jitter) on top, honoring
 //!   the `retry_after_ms` hint carried by [`ServeError::Overloaded`]
 //!   shed replies.
+//!
+//! The client also keeps the wire from carrying what the daemon already
+//! holds. Each connection remembers the bank keys the daemon acknowledged
+//! ([`SolveReply::network_key`]); a solve or remap on one of those
+//! networks goes out keyed ([`Request::SolveKeyed`],
+//! [`Request::RemapKeyed`]) instead of inline. When the daemon refuses a
+//! key ([`ServeError::UnknownNetwork`]: evicted, or the daemon restarted)
+//! the client forgets it and sends the same request inline, once. The
+//! caller sees one reply either way.
 
+use crate::keyset::KeySet;
 use crate::protocol::{
-    decode_response, encode_request, read_frame, write_frame, FrameError, RemapReply, RemapRequest,
-    Request, RequestFrame, Response, ServeError, SolveReply, SolveRequest, StatsReply,
+    decode_response, encode_request, read_frame, write_frame, FrameError, KeyedRemapRequest,
+    KeyedSolveRequest, RemapReply, RemapRequest, Request, RequestFrame, Response, ServeError,
+    SolveReply, SolveRequest, StatsReply,
 };
+use elpc_mapping::CostModel;
+use elpc_workloads::bank::bank_key_of;
+use elpc_workloads::ProblemInstance;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -30,6 +44,11 @@ use std::time::Duration;
 /// a typed `Timeout` itself at the deadline, so the raw socket timeout
 /// only fires when the daemon is actually gone or wedged.
 const DEADLINE_SLACK_MS: u64 = 500;
+
+/// Bank keys a connection remembers, well above the daemon's default bank
+/// capacity; a remembered key the daemon has since evicted costs one
+/// refused round trip.
+const KNOWN_KEYS: usize = 1024;
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -212,6 +231,8 @@ pub struct Client {
     stream: UnixStream,
     next_id: u64,
     broken: bool,
+    /// Bank keys the daemon acknowledged holding, on this connection.
+    known: KeySet,
 }
 
 impl Client {
@@ -224,15 +245,19 @@ impl Client {
             path,
             next_id: 1,
             broken: false,
+            known: KeySet::with_capacity(KNOWN_KEYS),
         })
     }
 
     /// Re-dials the daemon's socket, replacing the current connection.
     /// Called automatically by [`Client::request`] after a transport
     /// failure; exposed for callers that want to force a fresh dial.
+    /// Forgets every acknowledged bank key: the new connection may reach
+    /// a restarted daemon whose bank is empty.
     pub fn reconnect(&mut self) -> std::io::Result<()> {
         self.stream = UnixStream::connect(&self.path)?;
         self.broken = false;
+        self.known.clear();
         Ok(())
     }
 
@@ -304,13 +329,51 @@ impl Client {
 
     /// Runs a solve on the daemon and returns its reply. Socket timeouts
     /// are derived from the request's own deadline.
+    ///
+    /// When the daemon acknowledged holding the instance's network on this
+    /// connection, the request goes out keyed, without the network; if the
+    /// daemon no longer holds it, the request is sent again inline.
     pub fn solve(&mut self, req: SolveRequest) -> Result<SolveReply, ClientError> {
         self.ensure_connected()?;
         self.set_deadline(req.timeout_ms);
-        match self.request(Request::Solve(req))? {
-            Response::Solved(reply) => Ok(reply),
+        let key = instance_key(&req.instance, &req.cost);
+        if self.known.contains(key) {
+            match self.exchange_solved(Request::SolveKeyed(keyed(&req, key))) {
+                Err(ClientError::Server(ServeError::UnknownNetwork { key })) => {
+                    self.known.remove(key);
+                }
+                done => return done,
+            }
+        }
+        self.exchange_solved(Request::Solve(req))
+    }
+
+    fn exchange_solved(&mut self, body: Request) -> Result<SolveReply, ClientError> {
+        match self.request(body)? {
+            Response::Solved(reply) => {
+                self.learn(&reply);
+                Ok(reply)
+            }
             Response::Error(e) => Err(ClientError::Server(e)),
             other => Err(unexpected("Solved", &other)),
+        }
+    }
+
+    fn exchange_remapped(&mut self, body: Request) -> Result<RemapReply, ClientError> {
+        match self.request(body)? {
+            Response::Remapped(reply) => {
+                self.learn(&reply.reply);
+                Ok(reply)
+            }
+            Response::Error(e) => Err(ClientError::Server(e)),
+            other => Err(unexpected("Remapped", &other)),
+        }
+    }
+
+    /// Remembers the bank key a reply acknowledged.
+    fn learn(&mut self, reply: &SolveReply) {
+        if let Some(key) = reply.network_key {
+            self.known.insert(key);
         }
     }
 
@@ -358,14 +421,35 @@ impl Client {
 
     /// Runs a remap on the daemon and returns its reply. Socket timeouts
     /// are derived from the request's own deadline.
-    pub fn remap(&mut self, req: RemapRequest) -> Result<RemapReply, ClientError> {
+    ///
+    /// When the request names a `previous_key` the daemon acknowledged on
+    /// this connection, plus its `delta`, the perturbed network travels as
+    /// that delta alone. If the daemon cannot rebuild the network from
+    /// them, the request is sent again inline *without* the repair fields:
+    /// a delta that does not fit the banked network must not repair it.
+    pub fn remap(&mut self, mut req: RemapRequest) -> Result<RemapReply, ClientError> {
         self.ensure_connected()?;
         self.set_deadline(req.solve.timeout_ms);
-        match self.request(Request::Remap(req))? {
-            Response::Remapped(reply) => Ok(reply),
-            Response::Error(e) => Err(ClientError::Server(e)),
-            other => Err(unexpected("Remapped", &other)),
+        if let (Some(previous_key), Some(delta)) = (req.previous_key, &req.delta) {
+            if self.known.contains(previous_key) {
+                let key = instance_key(&req.solve.instance, &req.solve.cost);
+                let body = Request::RemapKeyed(KeyedRemapRequest {
+                    solve: keyed(&req.solve, key),
+                    previous: req.previous.clone(),
+                    previous_key,
+                    delta: delta.clone(),
+                });
+                match self.exchange_remapped(body) {
+                    Err(ClientError::Server(ServeError::UnknownNetwork { key })) => {
+                        self.known.remove(key);
+                        req.previous_key = None;
+                        req.delta = None;
+                    }
+                    done => return done,
+                }
+            }
         }
+        self.exchange_remapped(Request::Remap(req))
     }
 
     /// Fetches a statistics snapshot.
@@ -382,6 +466,25 @@ impl Client {
             Response::ShuttingDown => Ok(()),
             other => Err(unexpected("ShuttingDown", &other)),
         }
+    }
+}
+
+/// The bank key the daemon would hold `inst`'s network under.
+fn instance_key(inst: &ProblemInstance, cost: &CostModel) -> u64 {
+    bank_key_of(inst.network.fingerprint(), &inst.pipeline, cost)
+}
+
+/// `req` with its network replaced by the instance's bank key.
+fn keyed(req: &SolveRequest, key: u64) -> KeyedSolveRequest {
+    KeyedSolveRequest {
+        solver: req.solver.clone(),
+        cost: req.cost,
+        threads: req.threads,
+        timeout_ms: req.timeout_ms,
+        key,
+        pipeline: req.instance.pipeline.clone(),
+        src: req.instance.src,
+        dst: req.instance.dst,
     }
 }
 

@@ -17,6 +17,14 @@
 //! * [`loadgen`] — an open-loop load generator (paced sends decoupled from
 //!   completions) behind the `serving` bench and the CI smoke run.
 //!
+//! A network the daemon already holds travels by key: [`Client`] sends a
+//! request's bank key instead of its network once a reply on the same
+//! connection has acknowledged that key, and sends the request inline
+//! again if the daemon no longer holds it (see [`protocol`]). The
+//! open-loop [`loadgen`] still pipelines inline frames on purpose: it does
+//! not wait for replies, so it never has the acknowledgement a keyed
+//! request relies on.
+//!
 //! Solver execution stays decoupled from the request lifecycle: workers
 //! run the unchanged 18-entry `elpc_mapping` registry against bank-seeded
 //! [`elpc_mapping::SolveContext`]s, so a served solve is bit-identical to
@@ -29,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod keyset;
 pub mod loadgen;
 pub mod protocol;
 pub mod server;
@@ -36,7 +45,8 @@ pub mod server;
 pub use client::{Client, ClientError, RetryPolicy};
 pub use loadgen::{LoadConfig, LoadReport};
 pub use protocol::{
-    FrameError, RemapReply, RemapRequest, Request, RequestFrame, Response, ResponseFrame,
-    ServeError, SolveErrorKind, SolveReply, SolveRequest, StatsReply,
+    FrameError, KeyedRemapRequest, KeyedSolveRequest, RemapReply, RemapRequest, Request,
+    RequestFrame, Response, ResponseFrame, ServeError, SolveErrorKind, SolveReply, SolveRequest,
+    StatsReply,
 };
 pub use server::{Server, ServerConfig};

@@ -11,6 +11,11 @@
 //! The `serving` bench and the CI `SERVING_SMOKE` step both drive the
 //! daemon through [`run_open_loop`].
 //!
+//! Open-loop requests always carry their network inline: a writer that
+//! never waits for replies never sees the acknowledgement
+//! ([`crate::SolveReply::network_key`]) a keyed request needs. The
+//! closed-loop retry mode goes through [`Client`], so it sends by key.
+//!
 //! Replies are tallied by kind — [`LoadReport::ok`], [`LoadReport::shed`]
 //! (typed `Overloaded` refusals), [`LoadReport::timeouts`],
 //! [`LoadReport::server_errors`], and [`LoadReport::lost`] (sent but
@@ -23,8 +28,8 @@
 
 use crate::client::{Client, ClientError, RetryPolicy};
 use crate::protocol::{
-    decode_response, encode_request, read_frame, write_frame, Request, RequestFrame, Response,
-    ServeError, SolveRequest,
+    decode_response, encode_request, percentile, read_frame, write_frame, Request, RequestFrame,
+    Response, ServeError, SolveRequest,
 };
 use elpc_mapping::CostModel;
 use elpc_workloads::ProblemInstance;
@@ -378,16 +383,8 @@ fn build_report(
         } else {
             lat.iter().sum::<f64>() / lat.len() as f64
         },
-        p50_ms: pct(&lat, 0.50),
-        p99_ms: pct(&lat, 0.99),
+        p50_ms: percentile(&lat, 0.50),
+        p99_ms: percentile(&lat, 0.99),
         max_ms: lat.last().copied().unwrap_or(0.0),
     }
-}
-
-fn pct(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = (q * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }

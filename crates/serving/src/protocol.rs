@@ -14,9 +14,18 @@
 //! property tests in `crates/serving/tests/protocol_roundtrip.rs` pin
 //! encode→decode bit-identity for every request and response variant,
 //! including every typed error.
+//!
+//! A network the daemon already holds travels **by key**: once a reply's
+//! [`SolveReply::network_key`] acknowledges that the daemon banked a
+//! request's network, the client may send [`Request::SolveKeyed`] /
+//! [`Request::RemapKeyed`], which carry the bank key instead of the
+//! network. A key the daemon cannot resolve is refused with
+//! [`ServeError::UnknownNetwork`] before admission, and the client sends
+//! the request again inline.
 
 use elpc_mapping::{CostModel, MappingError, NetworkDelta};
 use elpc_netgraph::NodeId;
+use elpc_pipeline::Pipeline;
 use elpc_workloads::ProblemInstance;
 use serde::{Deserialize, Serialize};
 use std::io::{ErrorKind, Read, Write};
@@ -206,6 +215,11 @@ pub enum Request {
     /// Re-solve after a topology change, reporting whether the assignment
     /// moved relative to `previous`.
     Remap(RemapRequest),
+    /// [`Request::Solve`] against a network the daemon holds, named by key.
+    SolveKeyed(KeyedSolveRequest),
+    /// [`Request::Remap`] whose perturbed network the daemon rebuilds from
+    /// a network it holds plus the delta.
+    RemapKeyed(KeyedRemapRequest),
     /// Snapshot server statistics; answered inline.
     Stats,
     /// Ask the daemon to drain queued work and exit.
@@ -247,6 +261,47 @@ pub struct RemapRequest {
     /// The exact perturbation between the banked instance and
     /// `solve.instance`, when the client wants an in-place repair.
     pub delta: Option<NetworkDelta>,
+}
+
+/// A [`SolveRequest`] whose network travels by reference: the instance's
+/// bank key ([`elpc_workloads::bank::bank_key`]) replaces the network, and
+/// the pipeline and endpoints travel as they are.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct KeyedSolveRequest {
+    /// Registry solver name.
+    pub solver: String,
+    /// Cost model the closure and objective are evaluated under.
+    pub cost: CostModel,
+    /// Closure worker threads for this solve (0 = all CPUs, 1 = serial).
+    pub threads: usize,
+    /// Optional wall-clock budget measured from enqueue.
+    pub timeout_ms: Option<u64>,
+    /// Bank key of the instance: the daemon solves on the network it holds
+    /// under this key, after checking that the key is this network's under
+    /// `pipeline` and `cost`.
+    pub key: u64,
+    /// The computing pipeline.
+    pub pipeline: Pipeline,
+    /// Source node.
+    pub src: NodeId,
+    /// Destination node.
+    pub dst: NodeId,
+}
+
+/// A [`RemapRequest`] whose perturbed network travels as a delta against a
+/// network the daemon holds. The daemon applies `delta` to the network
+/// banked under `previous_key` and checks that the result has bank key
+/// `solve.key` before it repairs and solves.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct KeyedRemapRequest {
+    /// The fresh solve, keyed by the *perturbed* instance's bank key.
+    pub solve: KeyedSolveRequest,
+    /// The assignment currently deployed.
+    pub previous: Vec<NodeId>,
+    /// Bank key of the pre-change instance.
+    pub previous_key: u64,
+    /// The exact perturbation from the pre-change network to the new one.
+    pub delta: NetworkDelta,
 }
 
 // ---------------------------------------------------------------------------
@@ -299,6 +354,12 @@ pub struct SolveReply {
     pub queue_ms: f64,
     /// Milliseconds of solver execution (closure wait included).
     pub solve_ms: f64,
+    /// The bank key under which the daemon now holds this request's
+    /// network, when it does: later requests on the same network may name
+    /// it by this key instead of sending it. The daemon keeps a network
+    /// once a request checks its key out as a bank hit, so a network's
+    /// first, cold solve is not acknowledged.
+    pub network_key: Option<u64>,
 }
 
 /// A successful remap: the fresh solve plus the movement verdict.
@@ -311,6 +372,17 @@ pub struct RemapReply {
     /// True when the request's `previous_key`/`delta` repaired a banked
     /// closure in place (the solve then reports `banked: true`).
     pub repaired: bool,
+}
+
+/// Nearest-rank percentile of an ascending slice: the smallest value with
+/// at least `q · n` values at or below it (0 when empty). Every latency
+/// summary the daemon and the load generator report uses this rule.
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// Latency summary over completed requests, in milliseconds.
@@ -359,6 +431,11 @@ pub struct StatsReply {
     pub bank_deposits: u64,
     /// Closure-bank in-place repairs (remap hit-with-repair migrations).
     pub bank_repairs: u64,
+    /// Solve/remap requests whose network was resolved from a bank key.
+    pub keyed: u64,
+    /// Keyed requests refused with [`ServeError::UnknownNetwork`]; these
+    /// never reach admission, so they are not counted in `requests`.
+    pub unknown_keys: u64,
     /// End-to-end latency summary over completed requests.
     pub latency: LatencySummary,
 }
@@ -385,6 +462,14 @@ pub enum ServeError {
         /// current queue depth and recent per-request service time.
         retry_after_ms: u64,
     },
+    /// A keyed request named a network the daemon cannot produce: nothing
+    /// is banked under the key (never deposited, or evicted), or a keyed
+    /// remap's delta does not rebuild the network the request's key names.
+    /// Answered before admission; the client sends the request inline.
+    UnknownNetwork {
+        /// The key the daemon could not resolve.
+        key: u64,
+    },
     /// The request frame decoded but its content is unusable.
     Malformed {
         /// What was wrong.
@@ -409,6 +494,9 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::Overloaded { retry_after_ms } => {
                 write!(f, "server overloaded, retry after {retry_after_ms} ms")
+            }
+            ServeError::UnknownNetwork { key } => {
+                write!(f, "no network is banked under key {key:#018x}")
             }
             ServeError::Malformed { detail } => write!(f, "malformed request: {detail}"),
             ServeError::ShuttingDown => f.write_str("server is shutting down"),
@@ -601,6 +689,7 @@ mod tests {
             })),
             ServeError::Timeout { waited_ms: 250 },
             ServeError::Overloaded { retry_after_ms: 40 },
+            ServeError::UnknownNetwork { key: u64::MAX },
             ServeError::Malformed {
                 detail: "empty pipeline".into(),
             },
@@ -611,6 +700,19 @@ mod tests {
         ] {
             roundtrip_response(Response::Error(err));
         }
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        assert_eq!(percentile(&[], 0.5), 0.0);
+        let v: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(percentile(&v, 0.0), 1.0);
+        assert_eq!(percentile(&v, 0.50), 50.0);
+        assert_eq!(percentile(&v, 0.90), 90.0);
+        assert_eq!(percentile(&v, 0.99), 99.0);
+        assert_eq!(percentile(&v, 1.0), 100.0);
+        assert_eq!(percentile(&[1.0, 2.0, 3.0], 0.5), 2.0);
+        assert_eq!(percentile(&[7.0], 0.99), 7.0);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! * an **acceptor** blocked on the Unix listener, spawning a connection
 //!   reader per client;
 //! * **connection readers** that decode frames, answer `Ping`/`Stats`
-//!   inline, and enqueue solve/remap work;
+//!   inline, resolve keyed requests against the bank, and enqueue
+//!   solve/remap work;
 //! * a **worker pool** pulling jobs from one crossbeam channel, so a slow
 //!   solve never blocks the accept path or other requests;
 //! * the caller's thread, which owns the [`Server`] handle and drives
@@ -19,6 +20,15 @@
 //! [`ClosureBank::context_for`] exactly once, so the bank's
 //! `hits + misses` always equals the number of executed solve requests —
 //! the soak suite pins this exactness.
+//!
+//! A bank entry also holds its network once a request checks the key out
+//! as a hit, so a client that was told a network's key
+//! ([`SolveReply::network_key`]) can send later requests on it by key
+//! ([`Request::SolveKeyed`], [`Request::RemapKeyed`]). The
+//! reader resolves a keyed request into the same work item an inline
+//! request becomes, with the instance's bank key computed once; a key the
+//! bank does not hold is refused with [`ServeError::UnknownNetwork`]
+//! before admission, so it touches none of the ledger counters.
 //!
 //! The work queue is **bounded** ([`ServerConfig::queue_capacity`]):
 //! requests beyond the bound are shed with a typed
@@ -34,15 +44,17 @@
 //! responses are written, then workers stop on sentinel jobs and the
 //! socket file is removed.
 
+use crate::keyset::KeySet;
 use crate::protocol::{
-    decode_request, encode_response, read_frame_poll, write_frame, LatencySummary, RemapReply,
-    RemapRequest, Request, Response, ResponseFrame, ServeError, SolveFailure, SolveReply,
-    SolveRequest, StatsReply,
+    decode_request, encode_response, percentile, read_frame_poll, write_frame, KeyedRemapRequest,
+    KeyedSolveRequest, LatencySummary, RemapReply, Request, Response, ResponseFrame, ServeError,
+    SolveFailure, SolveReply, SolveRequest, StatsReply,
 };
 use crossbeam::channel;
-use elpc_mapping::{solver, Instance};
-use elpc_workloads::bank::{bank_key, ClosureBank};
-use std::collections::{HashMap, HashSet};
+use elpc_mapping::{solver, Instance, NetworkDelta, NodeId};
+use elpc_workloads::bank::{BankedNetwork, ClosureBank};
+use elpc_workloads::ProblemInstance;
+use std::collections::HashMap;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
@@ -84,14 +96,54 @@ enum Job {
     Stop,
 }
 
-enum WorkKind {
-    Solve(SolveRequest),
-    Remap(RemapRequest),
+/// A solve or remap resolved to the network it runs on. Connection
+/// readers turn inline and keyed requests alike into one of these, so
+/// everything after admission takes one path.
+struct Work {
+    /// The request's knobs, pipeline and endpoints; `solve.key` is the
+    /// instance's bank key, computed once, in the reader.
+    solve: KeyedSolveRequest,
+    network: BankedNetwork,
+    remap: Option<RemapWork>,
+}
+
+struct RemapWork {
+    previous: Vec<NodeId>,
+    /// `(previous_key, delta)` when the client asked for an in-place repair.
+    repair: Option<(u64, NetworkDelta)>,
+}
+
+impl Work {
+    fn inline(s: SolveRequest, remap: Option<RemapWork>) -> Work {
+        let ProblemInstance {
+            network,
+            pipeline,
+            src,
+            dst,
+            ..
+        } = s.instance;
+        let network = BankedNetwork::new(Arc::new(network));
+        let solve = KeyedSolveRequest {
+            key: network.key(&pipeline, &s.cost),
+            solver: s.solver,
+            cost: s.cost,
+            threads: s.threads,
+            timeout_ms: s.timeout_ms,
+            pipeline,
+            src,
+            dst,
+        };
+        Work {
+            solve,
+            network,
+            remap,
+        }
+    }
 }
 
 struct WorkItem {
     id: u64,
-    kind: WorkKind,
+    work: Work,
     submitted: Instant,
     deadline: Option<Instant>,
     writer: SharedWriter,
@@ -130,6 +182,8 @@ struct Counters {
     errors: AtomicU64,
     timeouts: AtomicU64,
     coalesced: AtomicU64,
+    keyed: AtomicU64,
+    unknown_keys: AtomicU64,
     queue_depth: AtomicU64,
     max_queue_depth: AtomicU64,
     /// Sum of completed-request latencies in microseconds; with
@@ -151,8 +205,9 @@ struct Shared {
     /// Keys whose leader's solve never materialized a closure (a strict
     /// solver that works link-level, not on the metric closure). Such keys
     /// can never turn into bank hits, so coalescing them again would just
-    /// serialize independent solves.
-    no_closure: parking_lot::Mutex<HashSet<u64>>,
+    /// serialize independent solves. Bounded first-in, first-out at the
+    /// bank's capacity.
+    no_closure: parking_lot::Mutex<KeySet>,
     read_timeout: Duration,
     workers: u64,
     queue_capacity: u64,
@@ -160,6 +215,24 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(path: PathBuf, config: &ServerConfig, tx: channel::Sender<Job>, workers: usize) -> Self {
+        let bank_capacity = config.bank_capacity.max(1);
+        Shared {
+            path,
+            bank: ClosureBank::with_capacity(bank_capacity),
+            tx,
+            draining: AtomicBool::new(false),
+            shutdown_requested: AtomicBool::new(false),
+            conns: parking_lot::Mutex::new(Vec::new()),
+            coalesce: StdMutex::new(HashMap::new()),
+            no_closure: parking_lot::Mutex::new(KeySet::with_capacity(bank_capacity)),
+            read_timeout: config.read_timeout,
+            workers: workers as u64,
+            queue_capacity: config.queue_capacity as u64,
+            stats: Counters::default(),
+        }
+    }
+
     fn draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
     }
@@ -199,6 +272,8 @@ impl Shared {
             bank_misses: bank.misses,
             bank_deposits: bank.deposits,
             bank_repairs: bank.repairs,
+            keyed: self.stats.keyed.load(Ordering::Relaxed),
+            unknown_keys: self.stats.unknown_keys.load(Ordering::Relaxed),
             latency: LatencySummary {
                 count: sorted.len() as u64,
                 p50_ms: percentile(&sorted, 0.50),
@@ -216,15 +291,6 @@ impl Shared {
 fn retry_after_hint(depth: u64, mean_latency_ms: f64, workers: u64) -> u64 {
     let est = depth as f64 * mean_latency_ms / workers.max(1) as f64;
     (est.ceil() as u64).clamp(10, 10_000)
-}
-
-/// Nearest-rank percentile over an ascending slice (0 when empty).
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = (q * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// A running solve daemon bound to a Unix socket.
@@ -253,20 +319,7 @@ impl Server {
             config.workers
         };
         let (tx, rx) = channel::unbounded::<Job>();
-        let shared = Arc::new(Shared {
-            path,
-            bank: ClosureBank::with_capacity(config.bank_capacity.max(1)),
-            tx,
-            draining: AtomicBool::new(false),
-            shutdown_requested: AtomicBool::new(false),
-            conns: parking_lot::Mutex::new(Vec::new()),
-            coalesce: StdMutex::new(HashMap::new()),
-            no_closure: parking_lot::Mutex::new(HashSet::new()),
-            read_timeout: config.read_timeout,
-            workers: workers as u64,
-            queue_capacity: config.queue_capacity as u64,
-            stats: Counters::default(),
-        });
+        let shared = Arc::new(Shared::new(path, &config, tx, workers));
         let worker_handles = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -440,8 +493,90 @@ fn connection_loop(shared: &Arc<Shared>, stream: UnixStream) {
                 shared.shutdown_requested.store(true, Ordering::SeqCst);
                 break;
             }
-            Request::Solve(s) => enqueue(shared, req.id, WorkKind::Solve(s), &writer),
-            Request::Remap(r) => enqueue(shared, req.id, WorkKind::Remap(r), &writer),
+            Request::Solve(s) => enqueue(shared, req.id, Work::inline(s, None), &writer),
+            Request::Remap(r) => {
+                let remap = RemapWork {
+                    previous: r.previous,
+                    repair: r.previous_key.zip(r.delta),
+                };
+                enqueue(shared, req.id, Work::inline(r.solve, Some(remap)), &writer);
+            }
+            Request::SolveKeyed(s) => {
+                let resolved = resolve_solve(shared, s);
+                enqueue_keyed(shared, req.id, resolved, &writer);
+            }
+            Request::RemapKeyed(r) => {
+                let resolved = resolve_remap(shared, r);
+                enqueue_keyed(shared, req.id, resolved, &writer);
+            }
+        }
+    }
+}
+
+/// The network a keyed solve names: the one banked under its key, when
+/// that key is this network's under the request's pipeline and cost model.
+fn resolve_solve(shared: &Shared, s: KeyedSolveRequest) -> Result<Work, ServeError> {
+    let network = shared
+        .bank
+        .network(s.key)
+        .filter(|net| net.key(&s.pipeline, &s.cost) == s.key)
+        .ok_or(ServeError::UnknownNetwork { key: s.key })?;
+    Ok(Work {
+        solve: s,
+        network,
+        remap: None,
+    })
+}
+
+/// The network a keyed remap names: the delta applied to the network
+/// banked under `previous_key`, when the result has the key the request
+/// names. The base must be banked under the request's own pipeline and
+/// cost model too, or its trees could not be repaired into the new key.
+fn resolve_remap(shared: &Shared, r: KeyedRemapRequest) -> Result<Work, ServeError> {
+    let KeyedRemapRequest {
+        solve,
+        previous,
+        previous_key,
+        delta,
+    } = r;
+    let base = shared
+        .bank
+        .network(previous_key)
+        .filter(|net| net.key(&solve.pipeline, &solve.cost) == previous_key)
+        .ok_or(ServeError::UnknownNetwork { key: previous_key })?;
+    let network = delta
+        .apply(base.network())
+        .ok()
+        .map(|net| BankedNetwork::new(Arc::new(net)))
+        .filter(|net| net.key(&solve.pipeline, &solve.cost) == solve.key)
+        .ok_or(ServeError::UnknownNetwork { key: solve.key })?;
+    let remap = RemapWork {
+        previous,
+        repair: Some((previous_key, delta)),
+    };
+    Ok(Work {
+        solve,
+        network,
+        remap: Some(remap),
+    })
+}
+
+/// Enqueues a resolved keyed request, or refuses an unresolved one before
+/// admission: the refusal moves only `unknown_keys`, never the ledger.
+fn enqueue_keyed(
+    shared: &Arc<Shared>,
+    id: u64,
+    resolved: Result<Work, ServeError>,
+    writer: &SharedWriter,
+) {
+    match resolved {
+        Ok(work) => {
+            shared.stats.keyed.fetch_add(1, Ordering::Relaxed);
+            enqueue(shared, id, work, writer);
+        }
+        Err(e) => {
+            shared.stats.unknown_keys.fetch_add(1, Ordering::Relaxed);
+            respond(writer, id, Response::Error(e));
         }
     }
 }
@@ -473,7 +608,7 @@ fn try_admit(shared: &Shared) -> Option<u64> {
     }
 }
 
-fn enqueue(shared: &Arc<Shared>, id: u64, kind: WorkKind, writer: &SharedWriter) {
+fn enqueue(shared: &Arc<Shared>, id: u64, work: Work, writer: &SharedWriter) {
     if shared.draining() {
         respond(writer, id, Response::Error(ServeError::ShuttingDown));
         return;
@@ -499,14 +634,13 @@ fn enqueue(shared: &Arc<Shared>, id: u64, kind: WorkKind, writer: &SharedWriter)
         .max_queue_depth
         .fetch_max(depth, Ordering::SeqCst);
     let submitted = Instant::now();
-    let timeout_ms = match &kind {
-        WorkKind::Solve(s) => s.timeout_ms,
-        WorkKind::Remap(r) => r.solve.timeout_ms,
-    };
-    let deadline = timeout_ms.map(|ms| submitted + Duration::from_millis(ms));
+    let deadline = work
+        .solve
+        .timeout_ms
+        .map(|ms| submitted + Duration::from_millis(ms));
     let item = Box::new(WorkItem {
         id,
-        kind,
+        work,
         submitted,
         deadline,
         writer: Arc::clone(writer),
@@ -564,20 +698,7 @@ fn handle_item(shared: &Arc<Shared>, item: WorkItem) {
     let body = if expired(&item) {
         Response::Error(timeout_error(&item))
     } else {
-        let run = std::panic::catch_unwind(AssertUnwindSafe(|| match &item.kind {
-            WorkKind::Solve(s) => run_solve(shared, s, &item, queue_ms).map(Response::Solved),
-            WorkKind::Remap(r) => {
-                let repaired = try_repair(shared, r);
-                run_solve(shared, &r.solve, &item, queue_ms).map(|reply| {
-                    let changed = reply.assignment != r.previous;
-                    Response::Remapped(RemapReply {
-                        reply,
-                        changed,
-                        repaired,
-                    })
-                })
-            }
-        }));
+        let run = std::panic::catch_unwind(AssertUnwindSafe(|| execute(shared, &item, queue_ms)));
         match run {
             Ok(Ok(_)) if expired(&item) => Response::Error(timeout_error(&item)),
             Ok(Ok(response)) => response,
@@ -628,55 +749,65 @@ fn panic_detail(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Runs one admitted solve or remap to its response.
+fn execute(shared: &Arc<Shared>, item: &WorkItem, queue_ms: f64) -> Result<Response, ServeError> {
+    let work = &item.work;
+    let s = &work.solve;
+    let inst = Instance::new(work.network.network(), &s.pipeline, s.src, s.dst);
+    let Some(remap) = &work.remap else {
+        return run_solve(shared, work, inst, item, queue_ms).map(Response::Solved);
+    };
+    let repaired = match (&remap.repair, &inst) {
+        (Some((previous_key, delta)), Ok(inst)) => {
+            try_repair(shared, s, *inst, *previous_key, delta)
+        }
+        _ => false, // run_solve surfaces the Malformed error
+    };
+    let reply = run_solve(shared, work, inst, item, queue_ms)?;
+    Ok(Response::Remapped(RemapReply {
+        changed: reply.assignment != remap.previous,
+        reply,
+        repaired,
+    }))
+}
+
 /// Attempts a remap's in-place bank repair: migrates the closure banked
 /// under `previous_key` to the perturbed instance's key (rebuilding only
 /// the trees the delta can affect), so the solve that follows checks out
-/// a **hit**. Requests without the repair fields, naming an unbanked key,
-/// or carrying an empty delta fall through to the normal path — a failed
-/// repair is never an error, just a cold solve. The delta is the client's
-/// contract: it must be the exact perturbation between the instance it
-/// banked earlier and `solve.instance`.
-fn try_repair(shared: &Arc<Shared>, r: &RemapRequest) -> bool {
-    let (Some(prev_key), Some(delta)) = (r.previous_key, r.delta.as_ref()) else {
-        return false;
-    };
-    if delta.is_empty() {
-        return false;
-    }
-    let Ok(inst) = Instance::new(
-        &r.solve.instance.network,
-        &r.solve.instance.pipeline,
-        r.solve.instance.src,
-        r.solve.instance.dst,
-    ) else {
-        return false; // run_solve will surface the Malformed error
-    };
-    shared
-        .bank
-        .update_in_place(prev_key, inst, r.solve.cost, delta, r.solve.threads)
-        .is_some()
+/// a **hit**. A key that is not banked, or an empty delta, falls through
+/// to the normal path — a failed repair is never an error, just a cold
+/// solve. The delta is the client's contract: it must be the exact
+/// perturbation between the instance it banked earlier and this one.
+fn try_repair(
+    shared: &Shared,
+    s: &KeyedSolveRequest,
+    inst: Instance<'_>,
+    previous_key: u64,
+    delta: &NetworkDelta,
+) -> bool {
+    !delta.is_empty()
+        && shared
+            .bank
+            .update_in_place_keyed(previous_key, s.key, inst, s.cost, delta, s.threads)
+            .is_some()
 }
 
 /// Runs one solve request to a reply, coalescing closure builds.
 fn run_solve(
     shared: &Arc<Shared>,
-    sreq: &SolveRequest,
+    work: &Work,
+    inst: elpc_mapping::Result<Instance<'_>>,
     item: &WorkItem,
     queue_ms: f64,
 ) -> Result<SolveReply, ServeError> {
-    let entry = solver(&sreq.solver).ok_or_else(|| ServeError::UnknownSolver {
-        name: sreq.solver.clone(),
+    let s = &work.solve;
+    let entry = solver(&s.solver).ok_or_else(|| ServeError::UnknownSolver {
+        name: s.solver.clone(),
     })?;
-    let inst = Instance::new(
-        &sreq.instance.network,
-        &sreq.instance.pipeline,
-        sreq.instance.src,
-        sreq.instance.dst,
-    )
-    .map_err(|e| ServeError::Malformed {
+    let inst = inst.map_err(|e| ServeError::Malformed {
         detail: e.to_string(),
     })?;
-    let key = bank_key(&inst, &sreq.cost);
+    let key = s.key;
     let start = Instant::now();
     let (coalesced, leader) = coalesce(shared, key);
     // A coalesce follower blocks on the leader's closure build and can
@@ -690,15 +821,15 @@ fn run_solve(
         return Err(timeout_error(item));
     }
     let banked = shared.bank.contains_key(key);
-    // The one and only `context_for` call this request makes: the bank's
+    // The one and only checkout this request makes: the bank's
     // hits + misses stays exactly equal to executed solve requests.
-    let ctx = shared.bank.context_for(inst, sreq.cost, sreq.threads);
+    let ctx = shared.bank.context_for_key(key, inst, s.cost, s.threads);
     let result = entry.solve(&ctx);
     if leader.is_some() {
         // Deposit BEFORE the guard drops: a racer that sees the in-flight
         // entry gone must also see the deposited closure, or it would
         // elect itself leader and build the same closure a second time.
-        shared.bank.deposit(&ctx);
+        shared.bank.deposit_keyed(key, &ctx);
         if !shared.bank.contains_key(key) {
             // The solver never touched the metric closure; remember that
             // so later requests for this key skip the (useless) election.
@@ -708,13 +839,16 @@ fn run_solve(
     drop(leader);
     let solution = result.map_err(|e| ServeError::Solve(SolveFailure::from_mapping(&e)))?;
     Ok(SolveReply {
-        solver: sreq.solver.clone(),
+        solver: s.solver.clone(),
         assignment: solution.assignment,
         objective_ms: solution.objective_ms,
         banked,
         coalesced,
         queue_ms,
         solve_ms: start.elapsed().as_secs_f64() * 1e3,
+        // The bank keeps a network once its key is checked out again, so
+        // networks seen once cost no memory.
+        network_key: (banked && shared.bank.keep_network(key, &work.network)).then_some(key),
     })
 }
 
@@ -747,7 +881,7 @@ impl Drop for LeaderGuard<'_> {
 /// request was elected leader and must build + deposit the closure.
 fn coalesce<'a>(shared: &'a Shared, key: u64) -> (bool, Option<LeaderGuard<'a>>) {
     let mut waited = false;
-    if shared.bank.contains_key(key) || shared.no_closure.lock().contains(&key) {
+    if shared.bank.contains_key(key) || shared.no_closure.lock().contains(key) {
         return (waited, None);
     }
     loop {
@@ -758,7 +892,7 @@ fn coalesce<'a>(shared: &'a Shared, key: u64) -> (bool, Option<LeaderGuard<'a>>)
         }
         let role = {
             let mut map = shared.coalesce.lock().unwrap_or_else(|e| e.into_inner());
-            if shared.bank.contains_key(key) || shared.no_closure.lock().contains(&key) {
+            if shared.bank.contains_key(key) || shared.no_closure.lock().contains(key) {
                 Role::Banked
             } else if let Some(fl) = map.get(&key) {
                 Role::Wait(Arc::clone(fl))
@@ -787,14 +921,14 @@ fn coalesce<'a>(shared: &'a Shared, key: u64) -> (bool, Option<LeaderGuard<'a>>)
 mod tests {
     use super::*;
 
-    #[test]
-    fn percentile_is_nearest_rank() {
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        let v: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 0.50), 51.0);
-        assert_eq!(percentile(&v, 0.99), 99.0);
-        assert_eq!(percentile(&v, 1.0), 100.0);
+    fn test_shared(queue_capacity: usize) -> Shared {
+        let config = ServerConfig {
+            bank_capacity: 1,
+            read_timeout: Duration::from_millis(1),
+            queue_capacity,
+            ..ServerConfig::default()
+        };
+        Shared::new(PathBuf::new(), &config, channel::unbounded().0, 1)
     }
 
     #[test]
@@ -810,20 +944,7 @@ mod tests {
 
     #[test]
     fn admission_is_exact_at_the_bound() {
-        let shared = Shared {
-            path: PathBuf::new(),
-            bank: ClosureBank::with_capacity(1),
-            tx: channel::unbounded().0,
-            draining: AtomicBool::new(false),
-            shutdown_requested: AtomicBool::new(false),
-            conns: parking_lot::Mutex::new(Vec::new()),
-            coalesce: StdMutex::new(HashMap::new()),
-            no_closure: parking_lot::Mutex::new(HashSet::new()),
-            read_timeout: Duration::from_millis(1),
-            workers: 1,
-            queue_capacity: 3,
-            stats: Counters::default(),
-        };
+        let shared = test_shared(3);
         assert_eq!(try_admit(&shared), Some(1));
         assert_eq!(try_admit(&shared), Some(2));
         assert_eq!(try_admit(&shared), Some(3));
@@ -834,23 +955,49 @@ mod tests {
 
     #[test]
     fn zero_capacity_means_unbounded() {
-        let shared = Shared {
-            path: PathBuf::new(),
-            bank: ClosureBank::with_capacity(1),
-            tx: channel::unbounded().0,
-            draining: AtomicBool::new(false),
-            shutdown_requested: AtomicBool::new(false),
-            conns: parking_lot::Mutex::new(Vec::new()),
-            coalesce: StdMutex::new(HashMap::new()),
-            no_closure: parking_lot::Mutex::new(HashSet::new()),
-            read_timeout: Duration::from_millis(1),
-            workers: 1,
-            queue_capacity: 0,
-            stats: Counters::default(),
-        };
+        let shared = test_shared(0);
         for expect in 1..=4096u64 {
             assert_eq!(try_admit(&shared), Some(expect));
         }
+    }
+
+    /// The no-closure set forgets its oldest keys at the bank's capacity
+    /// instead of growing with every distinct key a strict solver sees.
+    #[test]
+    fn no_closure_set_is_bounded_by_the_bank_capacity() {
+        let socket = std::env::temp_dir().join(format!(
+            "elpc-server-no-closure-{}.sock",
+            std::process::id()
+        ));
+        let capacity = 3;
+        let server = Server::bind(
+            &socket,
+            ServerConfig {
+                workers: 1,
+                bank_capacity: capacity,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let mut client = crate::Client::connect(&socket).unwrap();
+        let spec = elpc_workloads::InstanceSpec::sized(3, 6, 9);
+        for seed in 0..(3 * capacity as u64) {
+            client
+                .solve(SolveRequest {
+                    // the strict DP works link-level and never touches the
+                    // metric closure
+                    solver: "elpc_delay".into(),
+                    cost: elpc_mapping::CostModel::default(),
+                    threads: 1,
+                    timeout_ms: None,
+                    instance: spec.generate(seed).unwrap(),
+                })
+                .unwrap();
+            assert!(server.shared.no_closure.lock().len() <= capacity);
+        }
+        assert!(server.bank().is_empty(), "strict solves deposit nothing");
+        assert_eq!(server.shared.no_closure.lock().len(), capacity);
+        server.shutdown();
     }
 
     #[test]

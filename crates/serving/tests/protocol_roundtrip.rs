@@ -2,8 +2,9 @@
 //!
 //! Two families:
 //!
-//! * **round trips** — arbitrary solve/remap requests and every response
-//!   variant (including each typed error) encode→decode bit-identically:
+//! * **round trips** — arbitrary solve/remap requests (inline and keyed)
+//!   and every response variant (including each typed error)
+//!   encode→decode bit-identically:
 //!   decoding and re-encoding reproduces the exact JSON payload, and where
 //!   the types carry `PartialEq` the decoded value equals the original;
 //! * **hostile input** — arbitrary byte soup, truncated frames, and
@@ -17,9 +18,9 @@ use elpc_netgraph::EdgeId;
 use elpc_netsim::Link;
 use elpc_serving::protocol::{
     decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    FrameError, LatencySummary, RemapReply, RemapRequest, Request, RequestFrame, Response,
-    ResponseFrame, ServeError, SolveErrorKind, SolveFailure, SolveReply, SolveRequest, StatsReply,
-    MAX_FRAME_LEN,
+    FrameError, KeyedRemapRequest, KeyedSolveRequest, LatencySummary, RemapReply, RemapRequest,
+    Request, RequestFrame, Response, ResponseFrame, ServeError, SolveErrorKind, SolveFailure,
+    SolveReply, SolveRequest, StatsReply, MAX_FRAME_LEN,
 };
 use elpc_workloads::{InstanceSpec, ProblemInstance};
 use proptest::prelude::*;
@@ -84,6 +85,45 @@ fn arb_solve_request() -> impl Strategy<Value = SolveRequest> {
                 threads,
                 timeout_ms: has_timeout.then_some(ms % 1_000_000),
                 instance,
+            },
+        )
+}
+
+/// A keyed solve: a solve request's knobs, pipeline and endpoints, with an
+/// arbitrary key in place of the network.
+fn arb_keyed_solve() -> impl Strategy<Value = KeyedSolveRequest> {
+    (arb_solve_request(), any::<u64>()).prop_map(|(s, key)| KeyedSolveRequest {
+        solver: s.solver,
+        cost: s.cost,
+        threads: s.threads,
+        timeout_ms: s.timeout_ms,
+        key,
+        pipeline: s.instance.pipeline,
+        src: s.instance.src,
+        dst: s.instance.dst,
+    })
+}
+
+/// Keyed requests, both forms, with perturbation or failure deltas.
+fn arb_keyed_request() -> impl Strategy<Value = Request> {
+    (
+        any::<bool>(),
+        arb_keyed_solve(),
+        prop::collection::vec(arb_node(), 0..6),
+        any::<u64>(),
+        (any::<bool>(), arb_delta(), arb_failure_delta()),
+    )
+        .prop_map(
+            |(remap, solve, previous, previous_key, (failed, delta, failures))| {
+                if !remap {
+                    return Request::SolveKeyed(solve);
+                }
+                Request::RemapKeyed(KeyedRemapRequest {
+                    solve,
+                    previous,
+                    previous_key,
+                    delta: if failed { failures } else { delta },
+                })
             },
         )
 }
@@ -164,30 +204,33 @@ fn arb_failure_delta() -> impl Strategy<Value = NetworkDelta> {
 
 fn arb_request() -> impl Strategy<Value = Request> {
     (
-        0u8..6,
-        arb_solve_request(),
+        0u8..7,
+        (arb_solve_request(), arb_keyed_request()),
         prop::collection::vec(arb_node(), 0..6),
         (any::<bool>(), any::<u64>()),
         ((any::<bool>(), arb_delta()), arb_failure_delta()),
     )
         .prop_map(
-            |(sel, solve, previous, (has_key, key), ((has_delta, delta), failures))| match sel {
-                0 => Request::Ping,
-                1 => Request::Solve(solve),
-                2 => Request::Remap(RemapRequest {
-                    solve,
-                    previous,
-                    previous_key: has_key.then_some(key),
-                    delta: has_delta.then_some(delta),
-                }),
-                3 => Request::Remap(RemapRequest {
-                    solve,
-                    previous,
-                    previous_key: has_key.then_some(key),
-                    delta: Some(failures),
-                }),
-                4 => Request::Stats,
-                _ => Request::Shutdown,
+            |(sel, (solve, keyed), previous, (has_key, key), ((has_delta, delta), failures))| {
+                match sel {
+                    0 => Request::Ping,
+                    1 => Request::Solve(solve),
+                    2 => Request::Remap(RemapRequest {
+                        solve,
+                        previous,
+                        previous_key: has_key.then_some(key),
+                        delta: has_delta.then_some(delta),
+                    }),
+                    3 => Request::Remap(RemapRequest {
+                        solve,
+                        previous,
+                        previous_key: has_key.then_some(key),
+                        delta: Some(failures),
+                    }),
+                    4 => Request::Stats,
+                    5 => Request::Shutdown,
+                    _ => keyed,
+                }
             },
         )
 }
@@ -198,25 +241,31 @@ fn arb_solve_reply() -> impl Strategy<Value = SolveReply> {
         prop::collection::vec(arb_node(), 0..8),
         (arb_finite_f64(), arb_finite_f64(), arb_finite_f64()),
         (any::<bool>(), any::<bool>()),
+        (any::<bool>(), any::<u64>()),
     )
         .prop_map(
-            |(solver, assignment, (objective_ms, queue_ms, solve_ms), (banked, coalesced))| {
-                SolveReply {
-                    solver,
-                    assignment,
-                    objective_ms,
-                    banked,
-                    coalesced,
-                    queue_ms,
-                    solve_ms,
-                }
+            |(
+                solver,
+                assignment,
+                (objective_ms, queue_ms, solve_ms),
+                (banked, coalesced),
+                (acked, key),
+            )| SolveReply {
+                solver,
+                assignment,
+                objective_ms,
+                banked,
+                coalesced,
+                queue_ms,
+                solve_ms,
+                network_key: acked.then_some(key),
             },
         )
 }
 
 fn arb_stats_reply() -> impl Strategy<Value = StatsReply> {
     (
-        prop::collection::vec(any::<u64>(), 14..15),
+        prop::collection::vec(any::<u64>(), 16..17),
         (arb_finite_f64(), arb_finite_f64(), arb_finite_f64()),
         any::<u64>(),
     )
@@ -235,6 +284,8 @@ fn arb_stats_reply() -> impl Strategy<Value = StatsReply> {
             bank_misses: counts[11],
             bank_deposits: counts[12],
             bank_repairs: counts[13],
+            keyed: counts[14],
+            unknown_keys: counts[15],
             latency: LatencySummary {
                 count: lat_count,
                 p50_ms,
@@ -246,7 +297,7 @@ fn arb_stats_reply() -> impl Strategy<Value = StatsReply> {
 
 /// Every [`ServeError`] variant, every [`SolveErrorKind`] kind.
 fn arb_serve_error() -> impl Strategy<Value = ServeError> {
-    (0u8..7, arb_string(), any::<u64>(), 0u8..6).prop_map(|(sel, text, num, kind_sel)| {
+    (0u8..8, arb_string(), any::<u64>(), 0u8..6).prop_map(|(sel, text, num, kind_sel)| {
         let kind = match kind_sel {
             0 => SolveErrorKind::Infeasible,
             1 => SolveErrorKind::InvalidMapping,
@@ -267,6 +318,7 @@ fn arb_serve_error() -> impl Strategy<Value = ServeError> {
             5 => ServeError::Overloaded {
                 retry_after_ms: num,
             },
+            6 => ServeError::UnknownNetwork { key: num },
             _ => ServeError::Internal { detail: text },
         }
     })
@@ -312,6 +364,21 @@ proptest! {
         let json = encode_request(&frame);
         let decoded = decode_request(json.as_bytes()).expect("own encoding decodes");
         prop_assert_eq!(decoded.id, id);
+        prop_assert_eq!(encode_request(&decoded), json);
+    }
+
+    /// Keyed requests carry no network, so they compare by value: they
+    /// round-trip to equal requests AND identical bytes.
+    #[test]
+    fn keyed_requests_roundtrip_exactly(id in any::<u64>(), body in arb_keyed_request()) {
+        let json = encode_request(&RequestFrame { id, body: body.clone() });
+        let decoded = decode_request(json.as_bytes()).expect("own encoding decodes");
+        prop_assert_eq!(decoded.id, id);
+        match (&decoded.body, &body) {
+            (Request::SolveKeyed(a), Request::SolveKeyed(b)) => prop_assert_eq!(a, b),
+            (Request::RemapKeyed(a), Request::RemapKeyed(b)) => prop_assert_eq!(a, b),
+            (got, _) => panic!("a keyed request decoded as {got:?}"),
+        }
         prop_assert_eq!(encode_request(&decoded), json);
     }
 

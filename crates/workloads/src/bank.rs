@@ -25,6 +25,8 @@ use elpc_mapping::delta::repair_closure;
 use elpc_mapping::{
     CachedTree, CostModel, Instance, MetricClosure, NetworkDelta, RepairReport, SolveContext,
 };
+use elpc_netsim::Network;
+use elpc_pipeline::Pipeline;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,13 +64,18 @@ impl BankStats {
 /// the model's fields by construction), and the sorted distinct payload
 /// sizes of the pipeline's stage boundaries (`f64` bit patterns).
 pub fn bank_key(inst: &Instance<'_>, cost: &CostModel) -> u64 {
+    bank_key_of(inst.network.fingerprint(), inst.pipeline, cost)
+}
+
+/// [`bank_key`] from a network fingerprint already at hand
+/// ([`elpc_netsim::Network::fingerprint`]), so a caller that holds one
+/// never hashes the network again.
+pub fn bank_key_of(network_fingerprint: u64, pipeline: &Pipeline, cost: &CostModel) -> u64 {
     let mut h = elpc_netgraph::fnv::Fnv1a::new();
-    h.write_u64(inst.network.fingerprint());
+    h.write_u64(network_fingerprint);
     h.write_u64(cost.fingerprint());
-    let n = inst.pipeline.len();
-    let mut payloads: Vec<u64> = (1..n)
-        .map(|j| inst.pipeline.input_bytes(j).to_bits())
-        .collect();
+    let n = pipeline.len();
+    let mut payloads: Vec<u64> = (1..n).map(|j| pipeline.input_bytes(j).to_bits()).collect();
     payloads.sort_unstable();
     payloads.dedup();
     h.write_usize(payloads.len());
@@ -78,13 +85,61 @@ pub fn bank_key(inst: &Instance<'_>, cost: &CostModel) -> u64 {
     h.finish()
 }
 
+/// A network as a bank entry holds it: shared, and fingerprinted once, so
+/// its key under any pipeline and cost model costs no second hash.
+#[derive(Debug, Clone)]
+pub struct BankedNetwork {
+    network: Arc<Network>,
+    fingerprint: u64,
+}
+
+impl BankedNetwork {
+    /// Shares `network`, fingerprinting it once.
+    pub fn new(network: Arc<Network>) -> Self {
+        let fingerprint = network.fingerprint();
+        BankedNetwork {
+            network,
+            fingerprint,
+        }
+    }
+
+    /// The network.
+    pub fn network(&self) -> &Arc<Network> {
+        &self.network
+    }
+
+    /// The [`bank_key`] of an instance of this network.
+    pub fn key(&self, pipeline: &Pipeline, cost: &CostModel) -> u64 {
+        bank_key_of(self.fingerprint, pipeline, cost)
+    }
+}
+
+/// One banked closure, and the network its trees were built over once a
+/// caller has handed it in ([`ClosureBank::keep_network`]); the two are
+/// evicted together.
+struct BankEntry {
+    trees: Arc<Vec<CachedTree>>,
+    network: Option<BankedNetwork>,
+}
+
 /// Closure store plus FIFO eviction order, behind one mutex.
 #[derive(Default)]
 struct BankStore {
-    entries: HashMap<u64, Arc<Vec<CachedTree>>>,
+    entries: HashMap<u64, BankEntry>,
     /// Keys in first-deposit order; front is evicted first once the
     /// capacity is reached. Re-deposits of an existing key keep its slot.
     order: std::collections::VecDeque<u64>,
+}
+
+impl BankStore {
+    /// Evicts oldest-deposited keys until a new key fits in `capacity`.
+    fn make_room(&mut self, capacity: usize) {
+        while self.order.len() >= capacity {
+            if let Some(evicted) = self.order.pop_front() {
+                self.entries.remove(&evicted);
+            }
+        }
+    }
 }
 
 /// A topology-keyed cross-instance cache of materialized metric-closure
@@ -96,6 +151,12 @@ struct BankStore {
 /// sweeps revisit topologies in waves, so deposit age tracks usefulness
 /// well enough without per-hit bookkeeping). An evicted topology simply
 /// solves cold again and re-deposits.
+///
+/// An entry can also hold the network its trees were built over, as a
+/// shared [`BankedNetwork`], so a caller that only knows a key can get the
+/// network back ([`ClosureBank::network`]). A network is evicted with its
+/// trees, and dropped by the in-place repair that moves its trees to a
+/// perturbed key.
 pub struct ClosureBank {
     store: Mutex<BankStore>,
     capacity: usize,
@@ -202,13 +263,25 @@ impl ClosureBank {
         cost: CostModel,
         threads: usize,
     ) -> SolveContext<'a> {
+        self.context_for_key(bank_key(&inst, &cost), inst, cost, threads)
+    }
+
+    /// [`ClosureBank::context_for`] with the instance's [`bank_key`]
+    /// already computed by the caller.
+    pub fn context_for_key<'a>(
+        &self,
+        key: u64,
+        inst: Instance<'a>,
+        cost: CostModel,
+        threads: usize,
+    ) -> SolveContext<'a> {
         let ctx = SolveContext::with_threads(inst, cost, threads);
         let banked = self
             .store
             .lock()
             .entries
-            .get(&bank_key(&inst, &cost))
-            .cloned();
+            .get(&key)
+            .map(|e| Arc::clone(&e.trees));
         match banked {
             Some(entries) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -226,29 +299,53 @@ impl ClosureBank {
     /// ran against it) is never replaced by a poorer one; a first deposit
     /// beyond the capacity evicts the oldest-deposited key.
     pub fn deposit(&self, ctx: &SolveContext<'_>) {
+        self.deposit_keyed(bank_key(ctx.instance(), ctx.cost()), ctx);
+    }
+
+    /// [`ClosureBank::deposit`] with the instance's [`bank_key`] already
+    /// computed by the caller.
+    pub fn deposit_keyed(&self, key: u64, ctx: &SolveContext<'_>) {
         let exported = ctx.closure().export();
         if exported.is_empty() {
             return;
         }
-        let key = bank_key(ctx.instance(), ctx.cost());
-        let mut store = self.store.lock();
-        match store.entries.get(&key) {
-            Some(old) if old.len() >= exported.len() => return,
-            Some(_) => {
+        let mut guard = self.store.lock();
+        let store = &mut *guard;
+        match store.entries.get_mut(&key) {
+            Some(old) if old.trees.len() >= exported.len() => return,
+            Some(old) => {
                 // enrich in place; the key keeps its eviction slot
-                store.entries.insert(key, Arc::new(exported));
+                old.trees = Arc::new(exported);
             }
             None => {
-                while store.order.len() >= self.capacity {
-                    if let Some(evicted) = store.order.pop_front() {
-                        store.entries.remove(&evicted);
-                    }
-                }
+                store.make_room(self.capacity);
                 store.order.push_back(key);
-                store.entries.insert(key, Arc::new(exported));
+                store.entries.insert(
+                    key,
+                    BankEntry {
+                        trees: Arc::new(exported),
+                        network: None,
+                    },
+                );
             }
         }
         self.deposits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Has the entry banked under `key` hold `net`, the network its trees
+    /// were built over, unless it holds one already. Returns whether the
+    /// bank now holds a network under `key`; false when nothing is banked
+    /// there. A probe like [`ClosureBank::contains_key`]: no statistics
+    /// move. `key` must be `net`'s key under the entry's pipeline and cost
+    /// model.
+    pub fn keep_network(&self, key: u64, net: &BankedNetwork) -> bool {
+        match self.store.lock().entries.get_mut(&key) {
+            Some(entry) => {
+                entry.network.get_or_insert_with(|| net.clone());
+                true
+            }
+            None => false,
+        }
     }
 
     /// True when a closure is on deposit under `key` (see [`bank_key`]).
@@ -262,15 +359,26 @@ impl ClosureBank {
         self.store.lock().entries.contains_key(&key)
     }
 
+    /// The network held under `key` ([`ClosureBank::keep_network`]), if
+    /// any. A probe like [`ClosureBank::contains_key`]: no statistics move.
+    pub fn network(&self, key: u64) -> Option<BankedNetwork> {
+        self.store
+            .lock()
+            .entries
+            .get(&key)
+            .and_then(|e| e.network.clone())
+    }
+
     /// Repairs the entry banked under `old_key` into the key of `inst` ×
     /// `cost` — a perturbed topology becomes a bank *hit-with-repair*
     /// instead of the guaranteed miss the strict fingerprint key would
     /// force. The entry's trees are run through the churn invalidation rule
     /// ([`elpc_mapping::delta`]): untouched trees migrate as shared `Arc`s,
     /// stale sources are rebuilt on `threads` workers, and the repaired
-    /// entry is stored under the new key **in the old key's eviction
-    /// slot** (the topology aged as one resident; its identity moved, not
-    /// its tenure).
+    /// entry is stored under the new key **in the old key's eviction slot**
+    /// (the topology aged as one resident; its identity moved, not its
+    /// tenure). A network the old entry held is dropped: it is the
+    /// pre-perturbation network.
     ///
     /// Returns the repair accounting, or `None` when nothing is banked
     /// under `old_key` (the caller falls back to a cold solve). `delta`
@@ -288,8 +396,26 @@ impl ClosureBank {
         delta: &NetworkDelta,
         threads: usize,
     ) -> Option<RepairReport> {
-        let entries = self.store.lock().entries.get(&old_key).cloned()?;
-        let new_key = bank_key(&inst, &cost);
+        self.update_in_place_keyed(old_key, bank_key(&inst, &cost), inst, cost, delta, threads)
+    }
+
+    /// [`ClosureBank::update_in_place`] with the perturbed instance's key
+    /// computed by the caller: `new_key` must be `bank_key(&inst, &cost)`.
+    pub fn update_in_place_keyed(
+        &self,
+        old_key: u64,
+        new_key: u64,
+        inst: Instance<'_>,
+        cost: CostModel,
+        delta: &NetworkDelta,
+        threads: usize,
+    ) -> Option<RepairReport> {
+        let entries = self
+            .store
+            .lock()
+            .entries
+            .get(&old_key)
+            .map(|e| Arc::clone(&e.trees))?;
         if new_key == old_key {
             // value-identical topology (empty delta): nothing to migrate
             self.repairs.fetch_add(1, Ordering::Relaxed);
@@ -304,22 +430,20 @@ impl ClosureBank {
         let report = repair_closure(&closure, &entries, delta, threads);
         let repaired = Arc::new(closure.export());
 
-        let mut store = self.store.lock();
+        let mut guard = self.store.lock();
+        let store = &mut *guard;
         store.entries.remove(&old_key);
         let slot = store.order.iter().position(|&k| k == old_key);
-        match store.entries.get(&new_key) {
+        match store.entries.get_mut(&new_key) {
             // the new key is somehow already banked: richer-wins, and the
             // old key's slot simply retires
-            Some(existing) if existing.len() >= repaired.len() => {
+            Some(existing) => {
                 if let Some(i) = slot {
                     store.order.remove(i);
                 }
-            }
-            Some(_) => {
-                if let Some(i) = slot {
-                    store.order.remove(i);
+                if existing.trees.len() < repaired.len() {
+                    existing.trees = repaired;
                 }
-                store.entries.insert(new_key, repaired);
             }
             None => {
                 match slot {
@@ -327,18 +451,20 @@ impl ClosureBank {
                     // the old entry was evicted while we repaired: the
                     // repaired closure is still valid, bank it as new
                     None => {
-                        while store.order.len() >= self.capacity {
-                            if let Some(evicted) = store.order.pop_front() {
-                                store.entries.remove(&evicted);
-                            }
-                        }
+                        store.make_room(self.capacity);
                         store.order.push_back(new_key);
                     }
                 }
-                store.entries.insert(new_key, repaired);
+                store.entries.insert(
+                    new_key,
+                    BankEntry {
+                        trees: repaired,
+                        network: None,
+                    },
+                );
             }
         }
-        drop(store);
+        drop(guard);
         self.repairs.fetch_add(1, Ordering::Relaxed);
         Some(report)
     }
@@ -604,6 +730,58 @@ mod tests {
             .update_in_place(0xDEAD_BEEF, pert.as_instance(), cost(), &delta, 1)
             .is_none());
         assert_eq!(bank.stats().repairs, 1);
+    }
+
+    /// A network lives in its closure's entry once handed in: a repair to
+    /// a perturbed key drops it, and eviction drops it with the trees.
+    #[test]
+    fn kept_networks_live_and_die_with_their_entries() {
+        let spec = InstanceSpec::sized(5, 12, 26);
+        let base = spec.generate(5).unwrap();
+        let other = spec.generate(6).unwrap();
+        let bank = ClosureBank::with_capacity(1);
+        let s = solver("elpc_delay_routed").unwrap();
+        let net = BankedNetwork::new(Arc::new(base.network.clone()));
+        let key = net.key(&base.pipeline, &cost());
+        assert_eq!(key, bank_key(&base.as_instance(), &cost()));
+        assert!(!bank.keep_network(key, &net), "nothing is banked yet");
+
+        let ctx = bank.context_for(base.as_instance(), cost(), 1);
+        s.solve(&ctx).unwrap();
+        bank.deposit(&ctx);
+        assert!(bank.network(key).is_none(), "a deposit keeps no network");
+        let stats = bank.stats();
+        assert!(bank.keep_network(key, &net));
+        let held = bank.network(key).expect("kept");
+        assert!(
+            Arc::ptr_eq(held.network(), net.network()),
+            "shared, not copied"
+        );
+        assert_eq!(held.key(&base.pipeline, &cost()), key);
+        assert_eq!(bank.stats(), stats, "keeping is not a checkout");
+
+        // a repair moves the trees to the perturbed key, not the old network
+        let mut pert = base.clone();
+        let old = pert.network.link(EdgeId(2)).unwrap().clone();
+        pert.network
+            .set_link_symmetric(EdgeId(2), Link::new(old.bw_mbps * 0.5, old.mld_ms))
+            .unwrap();
+        let delta = NetworkDelta::between(&base.network, &pert.network).unwrap();
+        let new_key = bank_key(&pert.as_instance(), &cost());
+        bank.update_in_place_keyed(key, new_key, pert.as_instance(), cost(), &delta, 1)
+            .expect("old key is banked");
+        assert!(bank.network(key).is_none() && !bank.contains_key(key));
+        assert!(bank.contains_key(new_key) && bank.network(new_key).is_none());
+        let pert_net = BankedNetwork::new(Arc::new(delta.apply(held.network()).unwrap()));
+        assert_eq!(pert_net.key(&pert.pipeline, &cost()), new_key);
+        assert!(bank.keep_network(new_key, &pert_net));
+
+        // a second topology evicts the entry, network and all
+        let ctx = bank.context_for(other.as_instance(), cost(), 1);
+        s.solve(&ctx).unwrap();
+        bank.deposit(&ctx);
+        assert!(bank.network(new_key).is_none());
+        assert!(!bank.keep_network(new_key, &pert_net));
     }
 
     #[test]

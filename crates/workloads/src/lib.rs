@@ -30,7 +30,7 @@ pub mod compare;
 mod instance;
 pub mod sweep;
 
-pub use bank::{BankStats, ClosureBank};
+pub use bank::{BankStats, BankedNetwork, ClosureBank};
 pub use instance::{InstanceSpec, ProblemInstance, TopologyKind};
 
 /// Result alias shared with the mapping crate.
