@@ -14,11 +14,11 @@
 //!
 //! A second phase measures the **scale wall**: all-sources metric-closure
 //! construction on Barabási–Albert scale-free networks at 100 / 1 000 /
-//! 10 000 nodes, comparing the legacy lazy adjacency-list path
-//! (`routed_from` per source — cost model resolved per heap relaxation)
-//! against the batched CSR path (`par_warm` — flat snapshot, slot-aligned
+//! 10 000 nodes, comparing the adjacency-list `algo::dijkstra` oracle (one
+//! run per source, cost model resolved per heap relaxation) against the
+//! closure's CSR kernel (`par_warm` — flat snapshot, slot-aligned
 //! precomputed cost vector, recycled scratch), plus a banked routed solve
-//! over the warm closure and a peak-RSS proxy. The two paths are verified
+//! over the warm closure and a peak-RSS proxy. The two kernels are verified
 //! bit-identical on the spot before timings are reported.
 //!
 //! ```text
@@ -35,6 +35,7 @@
 
 use elpc_experiments::{results_dir, save_csv, save_json};
 use elpc_mapping::{solver, CostModel, Instance, MetricClosure, NodeId, SolveContext};
+use elpc_netgraph::algo;
 use elpc_netsim::{Link, Network, Node};
 use elpc_pipeline::Pipeline;
 use elpc_workloads::{ClosureBank, InstanceSpec};
@@ -75,7 +76,7 @@ struct ClosureScalingRow {
     links: usize,
     /// Sources warmed (= nodes: the all-pairs closure).
     sources: usize,
-    /// All-sources closure via the lazy adjacency-list path.
+    /// All-sources trees via the adjacency-list `algo::dijkstra` oracle.
     legacy_cold_ms: f64,
     /// All-sources closure via the batched CSR path (1 thread).
     csr_cold_ms: f64,
@@ -140,9 +141,9 @@ fn rng_range(rng: &mut ChaCha8Rng, lo: f64, hi: f64) -> f64 {
     rng.gen_range(lo..hi)
 }
 
-/// Times all-sources closure construction (legacy lazy vs batched CSR) on
-/// one BA network, verifies the two caches agree bit-for-bit on sampled
-/// sources, and runs a banked routed solve over the warm closure.
+/// Times all-sources closure construction (adjacency-list oracle vs
+/// batched CSR) on one BA network, verifies the two agree bit-for-bit on
+/// sampled sources, and runs a banked routed solve over the warm closure.
 fn closure_scaling_row(n: usize) -> ClosureScalingRow {
     let cost = CostModel::default();
     let net = ba_network(n, 3, 0xC5A0 + n as u64);
@@ -154,20 +155,22 @@ fn closure_scaling_row(n: usize) -> ClosureScalingRow {
     let reps = if n <= 1000 { 3 } else { 1 };
     let mut legacy_runs = Vec::with_capacity(reps);
     let mut csr_runs = Vec::with_capacity(reps);
-    let mut legacy = MetricClosure::new(&net, cost);
+    let mut legacy = Vec::with_capacity(n);
     let mut warm = MetricClosure::new(&net, cost);
     for r in 0..reps {
         if r > 0 {
-            // fresh closures so every rep is a cold build
-            legacy = MetricClosure::new(&net, cost);
+            // fresh trees so every rep is a cold build
+            legacy = Vec::with_capacity(n);
             warm = MetricClosure::new(&net, cost);
         }
-        // legacy: one lazy routed_from per source — adjacency-list Dijkstra
-        // with the cost model resolved per heap relaxation
+        // legacy: the adjacency-list oracle once per source, with the
+        // cost model resolved per heap relaxation
         legacy_runs.push(time_ms(|| {
-            for &s in &sources {
-                legacy.routed_from(s, CLOSURE_PAYLOAD);
-            }
+            legacy.extend(sources.iter().map(|&s| {
+                algo::dijkstra(net.graph(), s, |eid, _| {
+                    cost.edge_transfer_ms(&net, eid, CLOSURE_PAYLOAD)
+                })
+            }));
         }));
         // CSR: one batched warm — snapshot + slot-aligned cost vector +
         // recycled scratch, single thread so the comparison is
@@ -184,7 +187,7 @@ fn closure_scaling_row(n: usize) -> ClosureScalingRow {
     // spot-check bit-identity on sampled sources (the proptest suite does
     // this exhaustively on small graphs; here we guard the measured pair)
     for &s in sources.iter().step_by((n / 8).max(1)) {
-        let a = legacy.routed_from(s, CLOSURE_PAYLOAD);
+        let a = &legacy[s.index()];
         let b = warm.routed_from(s, CLOSURE_PAYLOAD);
         for v in 0..n {
             assert_eq!(
@@ -210,7 +213,7 @@ fn closure_scaling_row(n: usize) -> ClosureScalingRow {
     )
     .expect("uniform pipeline builds");
     let src = NodeId(0);
-    let hops = elpc_netgraph::algo::hop_distances(net.graph(), src);
+    let hops = algo::hop_distances(net.graph(), src);
     let budget = (pipe.len() - 1) as u32;
     let dst = net
         .node_ids()

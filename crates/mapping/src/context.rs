@@ -25,23 +25,24 @@
 //! the number of [`MetricClosure::routed_from`] queries, even under
 //! contention.
 //!
-//! ## Parallel warm-up
+//! ## One kernel, two schedules
 //!
-//! The per-source trees are embarrassingly parallel — no tree depends on
-//! any other — so [`MetricClosure::par_warm`] builds a whole
-//! `sources × payloads` block on scoped worker threads (the same
-//! work-pulling pattern as `elpc_workloads::sweep::run_parallel`). The
-//! warm path runs on a flat [`Csr`] snapshot of the adjacency (built once
-//! per closure) with the §2.2 edge cost resolved once per payload batch
-//! and per-worker [`SsspScratch`] buffers recycled across sources; the
-//! lazy [`MetricClosure::routed_from`] path keeps the original
-//! adjacency-list Dijkstra, and the two produce bit-identical trees. The
-//! routed DPs call [`SolveContext::warm_routed_dp`] on entry, which turns a
-//! serial cold solve into a parallel-warm one when the context was built
-//! with [`SolveContext::with_threads`]; with `threads == 1` the solvers
-//! keep their lazy, minimal-work behavior. Warm-up changes *when* trees are
-//! built, never *what* they contain, so results are bit-for-bit identical
-//! at any thread count.
+//! Every tree is built by one private builder on a flat [`Csr`] snapshot
+//! of the adjacency (built once per closure), with the §2.2 edge cost
+//! resolved once per payload into a memoized slot-aligned vector, and an
+//! [`SsspScratch`] heap. [`MetricClosure::routed_from`] calls it lazily,
+//! one tree per missing query. The per-source trees are embarrassingly
+//! parallel — no tree depends on any other — so
+//! [`MetricClosure::par_warm`] calls it for a whole `sources × payloads`
+//! block on scoped worker threads (the same work-pulling pattern as
+//! `elpc_workloads::sweep::run_parallel`), each worker recycling its own
+//! scratch. The routed DPs call [`SolveContext::warm_routed_dp`] on entry,
+//! which turns a serial cold solve into a parallel-warm one when the
+//! context was built with [`SolveContext::with_threads`]; with
+//! `threads == 1` the solvers keep their lazy, minimal-work behavior. The
+//! thread count only picks *when* and *on how many workers* trees are
+//! built, never *how*, so results are bit-for-bit identical at any thread
+//! count.
 //!
 //! ## Cross-instance reuse
 //!
@@ -59,7 +60,7 @@
 //! can be reconstructed without a new traversal.
 
 use crate::{CostModel, Instance, MappingError, Result};
-use elpc_netgraph::algo::{dijkstra, extract_path, ShortestPaths};
+use elpc_netgraph::algo::{extract_path, ShortestPaths};
 use elpc_netgraph::csr::{Csr, SsspScratch};
 use elpc_netgraph::NodeId;
 use parking_lot::RwLock;
@@ -235,11 +236,13 @@ pub struct MetricClosure<'a> {
     shards: [RwLock<ShardMap>; SHARD_COUNT],
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Flat CSR snapshot of the network's adjacency, built once on the
-    /// first batched warm-up and shared by every batch thereafter (the
-    /// network behind a closure is immutable, so the snapshot never goes
-    /// stale). Lazy queries never touch it.
+    /// Flat CSR snapshot of the network's adjacency, built on the first
+    /// tree build and shared by every build thereafter (the network behind
+    /// a closure is immutable, so the snapshot never goes stale).
     csr: OnceLock<Csr>,
+    /// Slot-aligned §2.2 edge-cost vectors keyed by payload bits, filled
+    /// on the first build at each payload.
+    costs: RwLock<HashMap<u64, Arc<[f64]>>>,
 }
 
 impl<'a> MetricClosure<'a> {
@@ -252,6 +255,7 @@ impl<'a> MetricClosure<'a> {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             csr: OnceLock::new(),
+            costs: RwLock::new(HashMap::new()),
         }
     }
 
@@ -275,22 +279,23 @@ impl<'a> MetricClosure<'a> {
     /// hit or one miss per call (a miss when this call ran Dijkstra, even
     /// if a racing thread's identical tree won the insert).
     pub fn routed_from(&self, src: NodeId, bytes: f64) -> Arc<ShortestPaths> {
-        let key = TreeKey::new(src, bytes);
+        self.materialize(TreeKey::new(src, bytes), &mut SsspScratch::new())
+    }
+
+    /// The one place a tree is built. A hit when `key` is already
+    /// materialized; otherwise one miss and one CSR Dijkstra run outside
+    /// any lock, and the first insert wins (racing builders produce
+    /// bit-identical trees, so the loser's copy is simply dropped).
+    fn materialize(&self, key: TreeKey, scratch: &mut SsspScratch) -> Arc<ShortestPaths> {
         let shard = &self.shards[shard_of(&key)];
         if let Some(tree) = shard.read().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(tree);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let tree = self.build_tree(src, bytes);
+        let costs = self.costs_for(key.payload_bits);
+        let tree = Arc::new(scratch.shortest_paths(self.csr(), key.source_node(), &costs));
         Arc::clone(shard.write().entry(key).or_insert(tree))
-    }
-
-    /// Runs the Dijkstra for one key, outside any lock.
-    fn build_tree(&self, src: NodeId, bytes: f64) -> Arc<ShortestPaths> {
-        Arc::new(dijkstra(self.net.graph(), src, |eid, _| {
-            self.cost.edge_transfer_ms(self.net, eid, bytes)
-        }))
     }
 
     /// True when the `(src, bytes)` tree is already materialized. Does not
@@ -302,45 +307,40 @@ impl<'a> MetricClosure<'a> {
 
     /// The flat CSR snapshot of the network's adjacency, built on first
     /// use. Slot order matches [`elpc_netgraph::Graph::neighbors`] order,
-    /// which is what makes the CSR kernels bit-identical to the lazy path.
-    pub fn csr(&self) -> &Csr {
+    /// which is what makes the CSR kernel bit-identical to
+    /// [`elpc_netgraph::algo::dijkstra`].
+    fn csr(&self) -> &Csr {
         self.csr.get_or_init(|| Csr::from_graph(self.net.graph()))
     }
 
-    /// Builds one missing tree on the CSR fast path, with the same
-    /// hit/miss accounting as [`MetricClosure::routed_from`]: a hit when a
-    /// racing builder already materialized the key, one miss per actual
-    /// kernel run, first insert wins.
-    fn warm_one(&self, csr: &Csr, key: TreeKey, costs: &[f64], scratch: &mut SsspScratch) {
-        let shard = &self.shards[shard_of(&key)];
-        if shard.read().contains_key(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return;
+    /// The slot-aligned §2.2 edge costs of one payload, resolved on first
+    /// use and memoized; racing fills compute identical vectors and the
+    /// first insert wins.
+    fn costs_for(&self, payload_bits: u64) -> Arc<[f64]> {
+        if let Some(costs) = self.costs.read().get(&payload_bits) {
+            return Arc::clone(costs);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let tree = Arc::new(scratch.shortest_paths(csr, key.source_node(), costs));
-        shard.write().entry(key).or_insert(tree);
+        let bytes = f64::from_bits(payload_bits);
+        let costs: Arc<[f64]> = self
+            .csr()
+            .cost_vector(|eid| self.cost.edge_transfer_ms(self.net, eid, bytes))
+            .into();
+        Arc::clone(self.costs.write().entry(payload_bits).or_insert(costs))
     }
 
     /// Builds every missing `(source, payload)` tree of the cross product
     /// on `threads` worker threads (`0` = all CPUs, `1` = inline serial).
     /// Returns the number of trees this call set out to build.
     ///
-    /// This is the batched CSR fast path: the adjacency is snapshotted once
-    /// per closure ([`MetricClosure::csr`]), the §2.2 edge cost is resolved
-    /// once per payload into a slot-aligned vector (instead of once per
-    /// heap relaxation, the lazy path's behavior), and every worker runs
-    /// the cache-friendly CSR kernel on a thread-local [`SsspScratch`]
-    /// whose buffers are recycled across its sources.
-    ///
-    /// Each tree is an independent Dijkstra run and the CSR kernel is
-    /// bit-identical to the lazy [`MetricClosure::routed_from`] build, so
-    /// neither the build order, the thread count, nor which path
+    /// Each worker runs the same builder as [`MetricClosure::routed_from`]
+    /// on its own [`SsspScratch`], recycling the heap across its sources;
+    /// only the schedule differs. Every tree is an independent Dijkstra
+    /// run, so neither the build order, the thread count, nor which call
     /// materialized an entry can affect its contents: `par_warm(s, p, 1)`,
     /// `par_warm(s, p, 0)`, and lazy queries leave bit-for-bit identical
     /// caches (property-tested in `tests/csr_equivalence.rs`). Every build
-    /// counts as one miss (and a racing duplicate query as a hit), keeping
-    /// `hits + misses == queries` exact.
+    /// counts as one miss (and a key a racing builder already inserted as
+    /// a hit), keeping `hits + misses == queries` exact.
     ///
     /// # Examples
     ///
@@ -363,44 +363,17 @@ impl<'a> MetricClosure<'a> {
     /// assert_eq!(closure.par_warm(&sources, &[1e5, 1e6], 1), 0);
     /// ```
     pub fn par_warm(&self, sources: &[NodeId], payloads: &[f64], threads: usize) -> usize {
-        // gather missing keys grouped per payload, so each batch shares one
-        // precomputed cost vector
         let mut seen = std::collections::HashSet::new();
-        let mut batches: Vec<(f64, Vec<TreeKey>)> = Vec::with_capacity(payloads.len());
-        for &bytes in payloads {
-            let mut batch = Vec::new();
-            for &src in sources {
-                let key = TreeKey::new(src, bytes);
-                if seen.insert(key) && !self.shards[shard_of(&key)].read().contains_key(&key) {
-                    batch.push(key);
-                }
-            }
-            if !batch.is_empty() {
-                batches.push((bytes, batch));
-            }
-        }
-        if batches.is_empty() {
-            return 0;
-        }
-        let csr = self.csr();
-        // resolve the cost model once per (payload, edge) — the lazy path
-        // pays this per heap relaxation instead
-        let costs: Vec<Vec<f64>> = batches
+        let work: Vec<TreeKey> = payloads
             .iter()
-            .map(|(bytes, _)| {
-                csr.cost_vector(|eid| self.cost.edge_transfer_ms(self.net, eid, *bytes))
-            })
-            .collect();
-        let work: Vec<(usize, TreeKey)> = batches
-            .iter()
-            .enumerate()
-            .flat_map(|(bi, (_, keys))| keys.iter().map(move |&k| (bi, k)))
+            .flat_map(|&bytes| sources.iter().map(move |&src| TreeKey::new(src, bytes)))
+            .filter(|key| seen.insert(*key) && !self.shards[shard_of(key)].read().contains_key(key))
             .collect();
         let threads = effective_threads(threads).min(work.len());
         if threads <= 1 {
             let mut scratch = SsspScratch::new();
-            for &(bi, key) in &work {
-                self.warm_one(csr, key, &costs[bi], &mut scratch);
+            for &key in &work {
+                self.materialize(key, &mut scratch);
             }
         } else {
             let next = AtomicUsize::new(0);
@@ -408,13 +381,8 @@ impl<'a> MetricClosure<'a> {
                 for _ in 0..threads {
                     scope.spawn(|_| {
                         let mut scratch = SsspScratch::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= work.len() {
-                                break;
-                            }
-                            let (bi, key) = work[i];
-                            self.warm_one(csr, key, &costs[bi], &mut scratch);
+                        while let Some(&key) = work.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            self.materialize(key, &mut scratch);
                         }
                     });
                 }
@@ -689,6 +657,7 @@ impl<'a> SolveContext<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elpc_netgraph::algo::dijkstra;
     use elpc_netsim::Network;
     use elpc_pipeline::Pipeline;
 

@@ -1,5 +1,5 @@
 //! Flat CSR (compressed sparse row) graph snapshot and the cache-friendly
-//! SSSP kernels that run on it.
+//! Dijkstra kernel that runs on it.
 //!
 //! The adjacency-list [`Graph`] is the right structure for
 //! *building* networks — cheap appends, payload access by id — but its
@@ -15,11 +15,10 @@
 //!
 //! ## Bit-for-bit contract
 //!
-//! [`SsspScratch::shortest_paths`] and [`SsspScratch::widest_paths`] are
-//! drop-in replacements for [`algo::dijkstra`](crate::algo::dijkstra) and
-//! [`algo::widest_paths`](crate::algo::widest_paths), identical down to the
-//! last bit — `dist`/`prev` including predecessor choice under ties —
-//! by construction rather than by luck:
+//! [`SsspScratch::shortest_paths`] is a drop-in replacement for
+//! [`algo::dijkstra`](crate::algo::dijkstra), identical down to the last
+//! bit — `dist`/`prev` including predecessor choice under ties — by
+//! construction rather than by luck:
 //!
 //! * CSR slots preserve the graph's out-edge insertion order, so the
 //!   kernel relaxes arcs in exactly the order the adjacency-list kernel
@@ -27,10 +26,10 @@
 //! * the heap is the same `std::collections::BinaryHeap`, and its entries
 //!   compare distances by their IEEE-754 bit patterns, which on the
 //!   non-negative non-NaN values Dijkstra produces is order- and
-//!   equality-isomorphic to `f64` comparison (the private `MinEntry`/`MaxEntry` key types) — every
-//!   comparison returns the same `Ordering`, so the pop sequence (ties
-//!   included) matches the legacy kernel's;
-//! * the kernels stop early once every node has settled, which skips only
+//!   equality-isomorphic to `f64` comparison (the private `MinEntry` key
+//!   type) — every comparison returns the same `Ordering`, so the pop
+//!   sequence (ties included) matches the adjacency-list kernel's;
+//! * the kernel stops early once every node has settled, which skips only
 //!   provably stale heap entries and provably failing relaxations.
 //!
 //! The workspace-level `csr_equivalence` proptests pin this on random,
@@ -39,8 +38,8 @@
 //! ## Scratch reuse
 //!
 //! Multi-source (all-pairs) builds run the kernel thousands of times over
-//! one snapshot. [`SsspScratch`] owns the binary heaps, recycling their
-//! backing arrays across sources — the heap is the allocation that grows
+//! one snapshot. [`SsspScratch`] owns the binary heap, recycling its
+//! backing array across sources — the heap is the allocation that grows
 //! unpredictably mid-run, so recycling it is what keeps the hot loop
 //! allocation-free. Result buffers are deliberately *not* staged in
 //! scratch: each run writes a fresh right-sized `dist`/`prev` pair and
@@ -48,7 +47,7 @@
 //! buffers and cloning them out. Hand each worker thread its own scratch —
 //! the snapshot itself is immutable and freely shared.
 
-use crate::algo::{ShortestPaths, WidestPaths};
+use crate::algo::ShortestPaths;
 use crate::{EdgeId, Graph, NodeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -70,8 +69,8 @@ pub struct Csr {
 
 impl Csr {
     /// Snapshots the adjacency of `g`. Slot order within a node equals
-    /// [`Graph::neighbors`] order, which is what keeps the CSR kernels
-    /// bit-identical to the adjacency-list ones.
+    /// [`Graph::neighbors`] order, which is what keeps the CSR kernel
+    /// bit-identical to the adjacency-list one.
     pub fn from_graph<N, E>(g: &Graph<N, E>) -> Self {
         let n = g.node_count();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -105,7 +104,7 @@ impl Csr {
     }
 
     /// Resolves `cost` once per directed edge into a slot-aligned vector
-    /// for [`SsspScratch::shortest_paths`] / [`SsspScratch::widest_paths`].
+    /// for [`SsspScratch::shortest_paths`].
     /// This is the "once per batch" half of the CSR bargain: the returned
     /// vector is read sequentially by every source of the batch.
     pub fn cost_vector(&self, mut cost: impl FnMut(EdgeId) -> f64) -> Vec<f64> {
@@ -168,32 +167,7 @@ impl Ord for MinEntry {
     }
 }
 
-/// Max-heap entry for the CSR widest-path kernel — same bit-order argument
-/// as [`MinEntry`] (widths are non-negative and non-NaN; `f64::INFINITY`'s
-/// bit pattern sorts above every finite width).
-struct MaxEntry {
-    bits: u64,
-    node: u32,
-}
-
-impl PartialEq for MaxEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.bits == other.bits
-    }
-}
-impl Eq for MaxEntry {}
-impl PartialOrd for MaxEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MaxEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.bits.cmp(&other.bits)
-    }
-}
-
-/// Reusable SSSP working memory: the binary heaps, whose backing arrays are
+/// Reusable SSSP working memory: the binary heap, whose backing array is
 /// recycled across the sources of a multi-source batch (the heap is the
 /// only buffer whose capacity survives a run — result arrays are written
 /// once and moved into the output, which measured faster than staging them
@@ -201,8 +175,7 @@ impl Ord for MaxEntry {
 /// snapshot itself is shared read-only.
 #[derive(Default)]
 pub struct SsspScratch {
-    min_heap: BinaryHeap<MinEntry>,
-    max_heap: BinaryHeap<MaxEntry>,
+    heap: BinaryHeap<MinEntry>,
 }
 
 impl SsspScratch {
@@ -230,14 +203,14 @@ impl SsspScratch {
         let mut dist = vec![f64::INFINITY; n];
         let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
         if src.index() < n {
-            self.min_heap.clear();
+            self.heap.clear();
             dist[src.index()] = 0.0;
-            self.min_heap.push(MinEntry {
+            self.heap.push(MinEntry {
                 bits: 0, // 0.0f64.to_bits()
                 node: src.0,
             });
             let mut settled = 0usize;
-            while let Some(MinEntry { bits, node: u }) = self.min_heap.pop() {
+            while let Some(MinEntry { bits, node: u }) = self.heap.pop() {
                 let d = f64::from_bits(bits);
                 if d > dist[u as usize] {
                     continue; // stale entry
@@ -262,7 +235,7 @@ impl SsspScratch {
                     if nd < dist[v] {
                         dist[v] = nd;
                         prev[v] = Some((NodeId(u), EdgeId(csr.edge_ids[s + i])));
-                        self.min_heap.push(MinEntry {
+                        self.heap.push(MinEntry {
                             bits: nd.to_bits(),
                             node: v as u32,
                         });
@@ -272,60 +245,6 @@ impl SsspScratch {
         }
         ShortestPaths { dist, prev }
     }
-
-    /// CSR widest-path (maximum bottleneck) from `src` under the
-    /// slot-aligned `widths` vector. Bit-identical to
-    /// [`algo::widest_paths`](crate::algo::widest_paths).
-    ///
-    /// # Panics
-    /// Panics if `widths.len() != csr.arc_count()`; debug-panics on a
-    /// negative or NaN width.
-    pub fn widest_paths(&mut self, csr: &Csr, src: NodeId, widths: &[f64]) -> WidestPaths {
-        assert_eq!(
-            widths.len(),
-            csr.arc_count(),
-            "width vector must be slot-aligned with the CSR snapshot"
-        );
-        let n = csr.node_count();
-        let mut width = vec![0.0f64; n];
-        let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
-        if src.index() < n {
-            self.max_heap.clear();
-            width[src.index()] = f64::INFINITY;
-            self.max_heap.push(MaxEntry {
-                bits: f64::INFINITY.to_bits(),
-                node: src.0,
-            });
-            let mut settled = 0usize;
-            while let Some(MaxEntry { bits, node: u }) = self.max_heap.pop() {
-                let w = f64::from_bits(bits);
-                if w < width[u as usize] {
-                    continue; // stale
-                }
-                // exact early exit — see the shortest-path kernel
-                settled += 1;
-                if settled == n {
-                    break;
-                }
-                let s = csr.offsets[u as usize] as usize;
-                let e = csr.offsets[u as usize + 1] as usize;
-                for (i, (&ew, &tv)) in widths[s..e].iter().zip(&csr.targets[s..e]).enumerate() {
-                    debug_assert!(ew >= 0.0 && !ew.is_nan(), "invalid edge width {ew}");
-                    let v = tv as usize;
-                    let nw = w.min(ew);
-                    if nw > width[v] {
-                        width[v] = nw;
-                        prev[v] = Some((NodeId(u), EdgeId(csr.edge_ids[s + i])));
-                        self.max_heap.push(MaxEntry {
-                            bits: nw.to_bits(),
-                            node: v as u32,
-                        });
-                    }
-                }
-            }
-        }
-        WidestPaths { width, prev }
-    }
 }
 
 /// One-shot CSR Dijkstra — convenience wrapper allocating a fresh scratch.
@@ -334,16 +253,10 @@ pub fn dijkstra_csr(csr: &Csr, src: NodeId, costs: &[f64]) -> ShortestPaths {
     SsspScratch::new().shortest_paths(csr, src, costs)
 }
 
-/// One-shot CSR widest-path — convenience wrapper allocating a fresh
-/// scratch.
-pub fn widest_csr(csr: &Csr, src: NodeId, widths: &[f64]) -> WidestPaths {
-    SsspScratch::new().widest_paths(csr, src, widths)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::{dijkstra, widest_paths};
+    use crate::algo::dijkstra;
     use crate::Graph;
 
     /// Weighted test graph (same as the Dijkstra module's diamond):
@@ -396,22 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn csr_widest_matches_legacy_bit_for_bit() {
-        let (g, ns) = diamond();
-        let csr = Csr::from_graph(&g);
-        let widths = csr.cost_vector(|eid| g.edge(eid).unwrap().payload);
-        for &src in &ns {
-            let legacy = widest_paths(&g, src, |_, e| e.payload);
-            let fast = widest_csr(&csr, src, &widths);
-            assert_eq!(legacy.width.len(), fast.width.len());
-            for v in 0..legacy.width.len() {
-                assert_eq!(legacy.width[v].to_bits(), fast.width[v].to_bits());
-                assert_eq!(legacy.prev[v], fast.prev[v]);
-            }
-        }
-    }
-
-    #[test]
     fn scratch_is_reusable_across_sources_and_graphs() {
         let (g, ns) = diamond();
         let csr = Csr::from_graph(&g);
@@ -422,9 +319,6 @@ mod tests {
         let _ = scratch.shortest_paths(&csr, ns[3], &costs);
         let again = scratch.shortest_paths(&csr, ns[0], &costs);
         assert_sp_identical(&first, &again);
-        // and a widest run on the same scratch does not disturb it
-        let _ = scratch.widest_paths(&csr, ns[1], &costs);
-        assert_sp_identical(&first, &scratch.shortest_paths(&csr, ns[0], &costs));
         // a smaller graph shrinks the output, not just the prefix
         let mut g2: Graph<(), f64> = Graph::new();
         let a = g2.add_node(());
@@ -444,8 +338,6 @@ mod tests {
         let costs = csr.cost_vector(|eid| g.edge(eid).unwrap().payload);
         let sp = dijkstra_csr(&csr, NodeId(50), &costs);
         assert!(sp.dist.iter().all(|d| d.is_infinite()));
-        let wp = widest_csr(&csr, NodeId(50), &costs);
-        assert!(wp.width.iter().all(|w| *w == 0.0));
     }
 
     #[test]

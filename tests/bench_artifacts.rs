@@ -73,8 +73,8 @@ fn closure_scaling_covers_the_scale_sweep() {
         // the all-sources closure: one tree per node
         assert_eq!(r.sources, r.nodes, "n={} warms every source", r.nodes);
     }
-    // the headline row: the batched CSR path must beat the legacy lazy
-    // path decisively at 1k nodes (measured ~2.5x on the reference
+    // the headline row: the batched CSR path must beat the adjacency-list
+    // `algo::dijkstra` decisively at 1k nodes (measured ~2.5x on the reference
     // machine; 2x is the regression floor under timer noise)
     let k1 = &a.rows[1];
     assert!(

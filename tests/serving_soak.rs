@@ -18,6 +18,7 @@ use elpc_serving::{
 use elpc_workloads::bank::bank_key;
 use elpc_workloads::{InstanceSpec, ProblemInstance};
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 const CLIENTS: usize = 8;
 const BASE_PER_CLIENT: usize = 6;
@@ -265,6 +266,21 @@ fn slow_instance() -> ProblemInstance {
     InstanceSpec::sized(6, 300, 900).generate(77).expect("gen")
 }
 
+/// Waits until the daemon's bank has counted `misses` checkouts: the
+/// request occupying the worker has been dequeued and is building its
+/// closure, so anything enqueued from now on strictly trails it (the queue
+/// is FIFO). Panics if that takes implausibly long.
+fn await_bank_misses(server: &Server, misses: u64) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.stats().bank_misses < misses {
+        assert!(
+            Instant::now() < deadline,
+            "the blocking request never checked the bank out"
+        );
+        std::thread::sleep(Duration::from_micros(200));
+    }
+}
+
 fn expect_timeout(tag: &str, r: Result<elpc_serving::SolveReply, ClientError>) {
     match r {
         Err(ClientError::Server(ServeError::Timeout { .. })) => {}
@@ -299,9 +315,10 @@ fn expired_in_queue_requests_never_burn_a_solve() {
             let mut client = Client::connect(socket).expect("connect");
             client.solve(solve_req(slow)).expect("blocker solve")
         });
-        // let the worker dequeue the blocker, then enqueue requests whose
-        // 1 ms deadlines expire long before the blocker's build finishes
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        // wait until the worker has dequeued the blocker, then enqueue
+        // requests whose 1 ms deadlines expire long before the blocker's
+        // build finishes
+        await_bank_misses(&server, 1);
         let followers: Vec<_> = (0..FOLLOWERS)
             .map(|_| {
                 s.spawn(move || {
@@ -357,10 +374,11 @@ fn expired_coalesce_followers_never_burn_a_solve() {
             let mut client = Client::connect(socket).expect("connect");
             client.solve(solve_req(slow)).expect("leader solve")
         });
-        // same bank key, a deadline far shorter than the leader's build:
-        // the free second worker dequeues this immediately (so the
-        // dequeue-time expiry check passes) and it blocks in coalesce()
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        // once the leader has checked out, send the same bank key with a
+        // deadline far shorter than the leader's build: the free second
+        // worker dequeues this immediately (so the dequeue-time expiry
+        // check passes) and it blocks in coalesce()
+        await_bank_misses(&server, 1);
         let follower = s.spawn(move || {
             let mut client = Client::connect(socket).expect("connect");
             let mut req = solve_req(slow);
