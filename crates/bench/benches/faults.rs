@@ -4,12 +4,12 @@
 //!
 //! **Recovery.** A seeded [`FaultSchedule`] (crashes, cuts, degradations,
 //! flaps) plays out over 200- and 1000-node topologies carrying several
-//! pipelines. `run_failover_remap` repairs the shared closure bank in
-//! place through the removal-aware `NetworkDelta` and re-solves only the
-//! pipelines a failure actually touched; the cold baseline re-solves
-//! every pipeline on fresh contexts. Both sides are wall-clock timed back
-//! to back on the same snapshots. `tests/bench_artifacts.rs` pins the
-//! committed `speedup` floor.
+//! pipelines. The epoch engine (`run_epochs`, `Drift` policy) repairs the
+//! shared closure bank in place through the removal-aware `NetworkDelta`
+//! and re-solves only the pipelines a failure actually touched; the cold
+//! baseline re-solves every pipeline on fresh contexts. Both sides are
+//! wall-clock timed back to back on the same snapshots.
+//! `tests/bench_artifacts.rs` pins the committed `speedup` floor.
 //!
 //! **Overload.** An in-process daemon with a deliberately small bounded
 //! queue takes paced open-loop bursts at ~0.5×, 1×, and 2× its measured
@@ -26,7 +26,7 @@
 //! cargo bench -p elpc-bench --bench faults
 //! ```
 
-use elpc_extensions::adaptive::{run_failover_remap, FailoverConfig};
+use elpc_extensions::adaptive::{run_epochs, EpochConfig, RemapPolicy};
 use elpc_mapping::{solver, CostModel, NodeId, SolveContext};
 use elpc_netsim::dynamics::DynamicNetwork;
 use elpc_netsim::faults::{FaultConfig, FaultEvent, FaultKind, FaultSchedule};
@@ -178,22 +178,23 @@ fn recovery_rows() -> Vec<RecoveryRow> {
             let faults = FaultSchedule::from_events(all_events);
             let dyn_net = DynamicNetwork::steady(inst.network.clone());
             let bank = ClosureBank::new();
-            let report = run_failover_remap(
+            let report = run_epochs(
                 &dyn_net,
                 &faults,
                 &pipes,
                 &cost,
-                FailoverConfig {
+                EpochConfig {
                     period_ms: 1_000.0,
                     // tight drift tolerance: losing a best route to a cut
                     // is enough to trigger a targeted re-solve
-                    drift_threshold: 0.02,
+                    policy: RemapPolicy::Drift { threshold: 0.02 },
+                    switch_cost_ms: 0.0,
                 },
                 HORIZON_MS,
                 remap,
                 &bank,
             )
-            .expect("failover loop runs");
+            .expect("epoch engine runs");
 
             let row = RecoveryRow {
                 nodes,
@@ -202,12 +203,13 @@ fn recovery_rows() -> Vec<RecoveryRow> {
                 fault_events: faults.events().len(),
                 failed_links: report.epochs.iter().map(|e| e.failed_links).sum(),
                 failed_nodes: report.epochs.iter().map(|e| e.failed_nodes).sum(),
-                forced_remaps: report.forced_remaps_total,
-                remapped: report.remapped_total,
-                trees_kept: report.epochs.iter().map(|e| e.trees_kept).sum(),
-                trees_rebuilt: report.epochs.iter().map(|e| e.trees_rebuilt).sum(),
-                recovery_ms: report.recovery_ms_total,
-                cold_resolve_ms: report.cold_resolve_ms_total,
+                forced_remaps: report.forced_remaps,
+                // every re-solve after the mandatory epoch-0 one per pipeline
+                remapped: report.resolves - pipes.len(),
+                trees_kept: report.trees_kept_total,
+                trees_rebuilt: report.trees_rebuilt_total,
+                recovery_ms: report.recovery_ms_total(),
+                cold_resolve_ms: report.cold_resolve_ms_total(),
                 speedup: report.recovery_speedup(),
             };
             println!(

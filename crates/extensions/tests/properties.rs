@@ -3,9 +3,11 @@
 use elpc_extensions::{adaptive, reuse_rate, workflow};
 use elpc_mapping::{elpc_delay, elpc_rate, CostModel, Instance, MappingError, NodeId};
 use elpc_netsim::dynamics::{DynamicNetwork, LoadModel};
+use elpc_netsim::faults::FaultSchedule;
 use elpc_netsim::{Link, Network, Node};
 use elpc_pipeline::gen::PipelineSpec;
 use elpc_pipeline::Pipeline;
+use elpc_workloads::ClosureBank;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -117,10 +119,14 @@ proptest! {
             .collect();
         let link_models = vec![LoadModel::Constant(1.0); links];
         let dyn_net = DynamicNetwork::new(net, node_models, link_models).unwrap();
-        let report = match adaptive::run_delay_adaptation(
-            &dyn_net, &pipe, src, dst, &cm,
-            adaptive::AdaptiveConfig { period_ms: 500.0, hysteresis: 0.1, switch_cost_ms: 10.0 },
-            4000.0,
+        let report = match adaptive::run_epochs(
+            &dyn_net, &FaultSchedule::from_events(vec![]), &[(pipe, src, dst)], &cm,
+            adaptive::EpochConfig {
+                period_ms: 500.0,
+                policy: adaptive::RemapPolicy::Always { hysteresis: 0.1 },
+                switch_cost_ms: 10.0,
+            },
+            4000.0, elpc_mapping::solver("elpc_delay").expect("registered"), &ClosureBank::new(),
         ) {
             Ok(r) => r,
             Err(MappingError::Infeasible(_)) => return Ok(()),
@@ -128,16 +134,18 @@ proptest! {
         };
         prop_assert_eq!(report.epochs.len(), 8);
         for e in &report.epochs {
-            prop_assert!(e.candidate_delay_ms <= e.static_delay_ms + 1e-9);
+            let p = &e.pipelines[0];
+            let candidate = p.candidate_delay_ms.expect("Always re-solves every epoch");
+            prop_assert!(candidate <= p.static_delay_ms + 1e-9);
             // the hysteresis rule bounds how far the retained mapping may
             // lag the optimum: no switch happens only while
             // retained < candidate / (1 - hysteresis); a switch costs 10 ms
             prop_assert!(
-                e.adaptive_delay_ms <= e.candidate_delay_ms / (1.0 - 0.1) + 10.0 + 1e-9,
+                p.delay_ms <= candidate / (1.0 - 0.1) + 10.0 + 1e-9,
                 "epoch at {} ms: adaptive {} exceeds hysteresis bound of candidate {}",
-                e.t_ms, e.adaptive_delay_ms, e.candidate_delay_ms
+                e.t_ms, p.delay_ms, candidate
             );
         }
-        prop_assert!(!report.epochs[0].switched);
+        prop_assert!(!report.epochs[0].pipelines[0].switched);
     }
 }

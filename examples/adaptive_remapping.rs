@@ -11,10 +11,12 @@
 //! cargo run --example adaptive_remapping
 //! ```
 
-use elpc::extensions::adaptive::{run_delay_adaptation, AdaptiveConfig};
+use elpc::extensions::adaptive::{run_epochs, EpochConfig, RemapPolicy};
 use elpc::netsim::dynamics::{DynamicNetwork, LoadModel};
+use elpc::netsim::faults::FaultSchedule;
 use elpc::netsim::measure::{estimate_link, ProbePlan};
 use elpc::prelude::*;
+use elpc::workloads::ClosureBank;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -68,7 +70,9 @@ fn main() {
     let dyn_net = DynamicNetwork::new(network, node_models, link_models).unwrap();
 
     let pipeline = Pipeline::from_stages(1e7, &[(5.0, 2e6), (3.0, 5e5)], 0.5).unwrap();
+    let pipelines = [(pipeline, src, dst)];
     let cost = CostModel::default();
+    let no_faults = FaultSchedule::from_events(vec![]);
 
     // --- run the control loop at several hysteresis settings ------------
     println!("=== one simulated hour, re-planning every 3 min ===");
@@ -77,18 +81,19 @@ fn main() {
         "hysteresis", "switches", "adaptive (ms)", "static (ms)", "gain"
     );
     for hysteresis in [0.0, 0.05, 0.25, 1.0] {
-        let report = run_delay_adaptation(
+        let report = run_epochs(
             &dyn_net,
-            &pipeline,
-            src,
-            dst,
+            &no_faults,
+            &pipelines,
             &cost,
-            AdaptiveConfig {
+            EpochConfig {
                 period_ms: hour_ms / 20.0,
-                hysteresis,
+                policy: RemapPolicy::Always { hysteresis },
                 switch_cost_ms: 50.0,
             },
             hour_ms,
+            elpc::mapping::solver("elpc_delay").expect("registered"),
+            &ClosureBank::new(),
         )
         .unwrap();
         println!(
@@ -101,32 +106,33 @@ fn main() {
         );
     }
 
-    // the generic entry point takes any registered minimum-delay solver —
-    // here the routed-overlay DP instead of the strict default
+    // the engine takes any registered minimum-delay solver — here the
+    // routed-overlay DP instead of the strict one
     println!("\nepoch detail at 5% hysteresis (routed-overlay re-mapping):");
-    let report = elpc::extensions::adaptive::run_adaptation(
+    let report = run_epochs(
         &dyn_net,
-        &pipeline,
-        src,
-        dst,
+        &no_faults,
+        &pipelines,
         &cost,
-        AdaptiveConfig {
+        EpochConfig {
             period_ms: hour_ms / 10.0,
-            hysteresis: 0.05,
+            policy: RemapPolicy::Always { hysteresis: 0.05 },
             switch_cost_ms: 50.0,
         },
         hour_ms,
         elpc::mapping::solver("elpc_delay_routed").expect("registered"),
+        &ClosureBank::new(),
     )
     .unwrap();
     for e in &report.epochs {
+        let p = &e.pipelines[0];
         println!(
             "  t={:>7.0}s  best {:>8.1} ms  adaptive {:>8.1} ms  static {:>8.1} ms{}",
             e.t_ms / 1000.0,
-            e.candidate_delay_ms,
-            e.adaptive_delay_ms,
-            e.static_delay_ms,
-            if e.switched { "  ← switched" } else { "" }
+            p.candidate_delay_ms.expect("Always re-solves every epoch"),
+            p.delay_ms,
+            p.static_delay_ms,
+            if p.switched { "  ← switched" } else { "" }
         );
     }
 }

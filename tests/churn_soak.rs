@@ -1,6 +1,7 @@
 //! Churn-loop soak: a long seeded [`DynamicNetwork`] run with mixed load
 //! models (sinusoids, random epochs, and static elements) driven through
-//! `run_churn_adaptation`, with the accounting pinned exactly:
+//! the epoch engine (`run_epochs`, no faults, `Drift` policy), with the
+//! accounting pinned exactly:
 //!
 //! * every epoch's repair partitions the closure — kept + rebuilt == total;
 //! * the bank is consulted exactly once per epoch, and only epoch 0 ever
@@ -13,9 +14,10 @@
 //! * the whole run is deterministic: a second run reproduces the report
 //!   bit for bit.
 
-use elpc_extensions::adaptive::{run_churn_adaptation, ChurnConfig};
+use elpc_extensions::adaptive::{run_epochs, EpochConfig, RemapPolicy};
 use elpc_mapping::{solver, CostModel, EdgeId, Instance, SolveContext};
 use elpc_netsim::dynamics::{DynamicNetwork, LoadModel};
+use elpc_netsim::faults::FaultSchedule;
 use elpc_workloads::{ClosureBank, InstanceSpec};
 
 const PERIOD_MS: f64 = 400.0;
@@ -84,19 +86,18 @@ fn dyn_fixture() -> (DynamicNetwork, elpc_workloads::ProblemInstance) {
 fn long_churn_run_has_exact_repair_and_bank_accounting() {
     let (dyn_net, inst) = dyn_fixture();
     let cost = CostModel::default();
-    let config = ChurnConfig {
+    let config = EpochConfig {
         period_ms: PERIOD_MS,
-        drift_threshold: 0.08,
+        policy: RemapPolicy::Drift { threshold: 0.08 },
         switch_cost_ms: 0.0,
     };
     let remap = solver("elpc_delay_routed").expect("registered");
 
     let bank = ClosureBank::new();
-    let report = run_churn_adaptation(
+    let report = run_epochs(
         &dyn_net,
-        &inst.pipeline,
-        inst.src,
-        inst.dst,
+        &FaultSchedule::from_events(vec![]),
+        &[(inst.pipeline.clone(), inst.src, inst.dst)],
         &cost,
         config,
         HORIZON_MS,
@@ -109,11 +110,19 @@ fn long_churn_run_has_exact_repair_and_bank_accounting() {
     assert!(report.resolves >= 1, "epoch 0 always solves");
     assert_eq!(
         report.resolves,
-        report.epochs.iter().filter(|e| e.resolved).count()
+        report
+            .epochs
+            .iter()
+            .filter(|e| e.pipelines[0].resolved)
+            .count()
     );
     assert_eq!(
         report.switches,
-        report.epochs.iter().filter(|e| e.switched).count()
+        report
+            .epochs
+            .iter()
+            .filter(|e| e.pipelines[0].switched)
+            .count()
     );
 
     // per-epoch repair partition and field consistency
@@ -135,13 +144,14 @@ fn long_churn_run_has_exact_repair_and_bank_accounting() {
         } else {
             assert_eq!(e.trees_total, 0, "t={}: nothing moved", e.t_ms);
         }
-        if e.resolved {
-            assert!(e.candidate_delay_ms.is_some());
+        let p = &e.pipelines[0];
+        if p.resolved {
+            assert!(p.candidate_delay_ms.is_some());
         } else {
-            assert!(e.candidate_delay_ms.is_none());
-            assert_eq!(e.staleness_ms, 0.0);
+            assert!(p.candidate_delay_ms.is_none());
+            assert_eq!(p.staleness_ms, 0.0);
         }
-        assert!(e.incumbent_delay_ms.is_finite() && e.incumbent_delay_ms > 0.0);
+        assert!(p.delay_ms.is_finite() && p.delay_ms > 0.0);
     }
     assert!(
         churned_epochs >= EPOCHS as u64 / 2,
@@ -167,7 +177,7 @@ fn long_churn_run_has_exact_repair_and_bank_accounting() {
 
     // differential proof: every re-solve epoch's candidate is bit-identical
     // to an independent cold solve of that snapshot
-    for e in report.epochs.iter().filter(|e| e.resolved) {
+    for e in report.epochs.iter().filter(|e| e.pipelines[0].resolved) {
         let snapshot = dyn_net.snapshot_at(e.t_ms);
         let cold_inst =
             Instance::new(&snapshot, &inst.pipeline, inst.src, inst.dst).expect("valid instance");
@@ -175,7 +185,10 @@ fn long_churn_run_has_exact_repair_and_bank_accounting() {
         let cold = remap.solve(&ctx).expect("cold solve");
         assert_eq!(
             cold.objective_ms.to_bits(),
-            e.candidate_delay_ms.expect("resolved").to_bits(),
+            e.pipelines[0]
+                .candidate_delay_ms
+                .expect("resolved")
+                .to_bits(),
             "t={}: repaired-closure candidate differs from a cold solve",
             e.t_ms
         );
@@ -186,19 +199,18 @@ fn long_churn_run_has_exact_repair_and_bank_accounting() {
 fn churn_runs_are_deterministic() {
     let (dyn_net, inst) = dyn_fixture();
     let cost = CostModel::default();
-    let config = ChurnConfig {
+    let config = EpochConfig {
         period_ms: PERIOD_MS,
-        drift_threshold: 0.08,
+        policy: RemapPolicy::Drift { threshold: 0.08 },
         switch_cost_ms: 0.0,
     };
     let remap = solver("elpc_delay_routed").expect("registered");
     let run = || {
         let bank = ClosureBank::new();
-        run_churn_adaptation(
+        run_epochs(
             &dyn_net,
-            &inst.pipeline,
-            inst.src,
-            inst.dst,
+            &FaultSchedule::from_events(vec![]),
+            &[(inst.pipeline.clone(), inst.src, inst.dst)],
             &cost,
             config,
             HORIZON_MS,

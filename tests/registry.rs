@@ -103,9 +103,11 @@ fn shared_context_produces_cache_hits_across_solvers() {
 
 #[test]
 fn adaptive_control_loop_accepts_any_delay_solver() {
-    use elpc::extensions::adaptive::{run_adaptation, AdaptiveConfig};
+    use elpc::extensions::adaptive::{run_epochs, EpochConfig, RemapPolicy};
     use elpc::netsim::dynamics::DynamicNetwork;
+    use elpc::netsim::faults::FaultSchedule;
     use elpc::prelude::*;
+    use elpc::workloads::ClosureBank;
 
     let mut b = Network::builder();
     let s = b.add_node(1_000.0).unwrap();
@@ -115,6 +117,22 @@ fn adaptive_control_loop_accepts_any_delay_solver() {
     b.add_link(a, d, 622.0, 1.0).unwrap();
     let dyn_net = DynamicNetwork::steady(b.build().unwrap());
     let pipe = Pipeline::from_stages(1e6, &[(2.0, 1e5)], 0.5).unwrap();
+    let run = |name: &str, policy: RemapPolicy| {
+        run_epochs(
+            &dyn_net,
+            &FaultSchedule::from_events(vec![]),
+            &[(pipe.clone(), s, d)],
+            &cost(),
+            EpochConfig {
+                period_ms: 1_000.0,
+                policy,
+                switch_cost_ms: 0.0,
+            },
+            3_000.0,
+            solver(name).unwrap(),
+            &ClosureBank::new(),
+        )
+    };
 
     for name in [
         "elpc_delay",
@@ -122,29 +140,15 @@ fn adaptive_control_loop_accepts_any_delay_solver() {
         "streamline_delay",
         "greedy_delay",
     ] {
-        let report = run_adaptation(
-            &dyn_net,
-            &pipe,
-            s,
-            d,
-            &cost(),
-            AdaptiveConfig::default(),
-            3_000.0,
-            solver(name).unwrap(),
-        )
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(report.switches, 0, "{name} switched on a steady network");
+        for policy in [
+            RemapPolicy::Always { hysteresis: 0.10 },
+            RemapPolicy::Drift { threshold: 0.10 },
+        ] {
+            let report = run(name, policy).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(report.switches, 0, "{name} switched on a steady network");
+        }
     }
     // rate solvers are rejected up front
-    let err = run_adaptation(
-        &dyn_net,
-        &pipe,
-        s,
-        d,
-        &cost(),
-        AdaptiveConfig::default(),
-        3_000.0,
-        solver("elpc_rate").unwrap(),
-    );
+    let err = run("elpc_rate", RemapPolicy::Always { hysteresis: 0.10 });
     assert!(err.is_err());
 }
