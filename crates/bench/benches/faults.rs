@@ -5,7 +5,7 @@
 //! **Recovery.** A seeded [`FaultSchedule`] (crashes, cuts, degradations,
 //! flaps) plays out over 200- and 1000-node topologies carrying several
 //! pipelines. The epoch engine (`run_epochs`, `Drift` policy) repairs the
-//! shared closure bank in place through the removal-aware `NetworkDelta`
+//! shared closure bank in place through the failure-aware `NetworkDelta`
 //! and re-solves only the pipelines a failure actually touched; the cold
 //! baseline re-solves every pipeline on fresh contexts. Both sides are
 //! wall-clock timed back to back on the same snapshots.

@@ -356,9 +356,10 @@ pub fn run_epochs(
                     &changes.nodes,
                 )?;
             }
-            record.failed_links = delta.link_failures.len();
-            record.failed_nodes = delta.node_failures.len();
-            record.perturbed_elements = delta.links.len() + delta.nodes.len();
+            record.failed_links = delta.links.iter().filter(|l| l.is_failure()).count();
+            record.failed_nodes = delta.nodes.iter().filter(|n| n.is_crash()).count();
+            record.perturbed_elements =
+                delta.links.len() + delta.nodes.len() - record.failed_links - record.failed_nodes;
         }
 
         let started = Instant::now();

@@ -36,18 +36,25 @@
 //! `EvalKernel` compute columns (see [`crate::EvalKernel::patched_for_churn`])
 //! and re-key the bank.
 //!
-//! ## Failures are removals, not perturbations
+//! ## Failures are perturbations to a sentinel
 //!
-//! A *failed* element (link cut to the `bw = 0` sentinel, node crashed to
-//! `power = 0` — see `elpc_netsim::faults`) is carried separately as a
-//! [`LinkFailure`] / [`NodeFailure`]. A failed link prices at `+∞`, so rule
-//! 1 applies unchanged (any tree traversing it rebuilds) while rule 2 is
-//! skipped — an edge that only got worse can never newly compete. A crashed
-//! node's incident links arrive as their own `LinkFailure`s (the crash cuts
-//! them), and the crash itself re-prices compute to `+∞` and flags every
-//! mapped pipeline hosted there for forced remap
-//! ([`NetworkDelta::forces_remap`]). Restores (failed → healthy) diff as
-//! ordinary perturbations — no special casing.
+//! A *failed* element — a link cut to `bw = 0`, a node crashed to
+//! `power = 0` (see `elpc_netsim::faults`) — is an ordinary perturbation
+//! whose new value is the sentinel: [`LinkPerturbation::is_failure`] and
+//! [`NodePerturbation::is_crash`] classify it, and a restore (failed →
+//! healthy) is just the perturbation back. A crashed node's incident links
+//! arrive as their own cuts, and the crash re-prices compute to `+∞` and
+//! flags every mapped pipeline hosted there for forced remap
+//! ([`NetworkDelta::forces_remap`]).
+//!
+//! The invalidation rule needs no special case for them. A cut prices at
+//! `w_new = +∞`, so rule 1 rebuilds every tree that traverses it. Rule 2
+//! can never fire for it: the cached tree is exact for the old network and
+//! the cut link's `w_old` is finite, so `dist[v] ≤ dist[u] + w_old < ∞`
+//! whenever `dist[u]` is finite, while `dist[u] + ∞ = ∞`. An off-tree cut
+//! is therefore always kept by rule 3 — an edge that only got worse never
+//! newly competes. (A link already priced at `+∞` before the cut is a cost
+//! no-op and is dropped with the other bit-identical costs.)
 //!
 //! Kept trees are reused as `Arc`s, so their exported bytes are *identical*
 //! (not merely equal) to the pre-perturbation export; rebuilt trees go
@@ -68,6 +75,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One perturbed directed edge: its endpoints and its old/new link values.
+/// A cut is a perturbation to the `bw = 0` sentinel
+/// ([`LinkPerturbation::is_failure`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LinkPerturbation {
     /// The directed edge id (both directions of a symmetric link appear as
@@ -83,7 +92,17 @@ pub struct LinkPerturbation {
     pub new: Link,
 }
 
-/// One perturbed node: its old and new compute power.
+impl LinkPerturbation {
+    /// True when a healthy link failed: it went to the `bw = 0` sentinel
+    /// ([`elpc_netsim::Link::is_failed`]), so it prices at `+∞` under every
+    /// payload.
+    pub fn is_failure(&self) -> bool {
+        self.new.is_failed() && !self.old.is_failed()
+    }
+}
+
+/// One perturbed node: its old and new compute power. A crash is a
+/// perturbation to the `power = 0` sentinel ([`NodePerturbation::is_crash`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodePerturbation {
     /// The node.
@@ -94,55 +113,26 @@ pub struct NodePerturbation {
     pub new_power: f64,
 }
 
-/// One *failed* directed edge — a removal, not a value perturbation. The
-/// edge stays in the graph carrying the `bw = 0` sentinel
-/// ([`elpc_netsim::Link::is_failed`]), so its cost is `+∞` under every
-/// payload: any cached tree traversing it must rebuild, and an off-tree
-/// failed edge can never newly compete (rule 2 is skipped — a removal only
-/// makes the edge worse).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LinkFailure {
-    /// The failed directed edge id (both directions of a symmetric link
-    /// appear as separate failures).
-    pub edge: EdgeId,
-    /// Tail of the directed edge.
-    pub src: NodeId,
-    /// Head of the directed edge.
-    pub dst: NodeId,
-    /// The link value before the failure (healthy: `bw > 0`), kept so a
-    /// later restore diffs as an ordinary perturbation.
-    pub old: Link,
-}
-
-/// One *crashed* node — its power dropped to the `0.0` failure sentinel.
-/// Compute there prices at `+∞`, and any mapped pipeline hosting a module
-/// on it is flagged for forced remap ([`NetworkDelta::forces_remap`]). The
-/// links a crash takes down with it appear as separate [`LinkFailure`]s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NodeFailure {
-    /// The crashed node.
-    pub node: NodeId,
-    /// Power before the crash.
-    pub old_power: f64,
+impl NodePerturbation {
+    /// True when the node crashed: compute there prices at `+∞`, and any
+    /// mapped pipeline hosting a module on it must be remapped
+    /// ([`NetworkDelta::forces_remap`]).
+    pub fn is_crash(&self) -> bool {
+        self.new_power == 0.0
+    }
 }
 
 /// The exact difference between two same-shaped networks: which directed
-/// edges and nodes changed, with old and new values. Serializable, so a
-/// remap client can ship it to the serving daemon for an in-place bank
-/// repair.
+/// edges and nodes changed, with old and new values, each list in
+/// ascending id order. Failures and restores are ordinary entries.
+/// Serializable, so a remap client can ship it to the serving daemon for
+/// an in-place bank repair.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct NetworkDelta {
-    /// Perturbed directed edges (value changes, including restores of
-    /// previously failed elements).
+    /// Perturbed directed edges.
     pub links: Vec<LinkPerturbation>,
-    /// Perturbed nodes (power changes, including restores).
+    /// Perturbed nodes.
     pub nodes: Vec<NodePerturbation>,
-    /// Directed edges that *failed* (healthy → `bw = 0` sentinel) between
-    /// old and new — removals in cost space.
-    pub link_failures: Vec<LinkFailure>,
-    /// Nodes that *crashed* (healthy → `power = 0` sentinel) between old
-    /// and new.
-    pub node_failures: Vec<NodeFailure>,
 }
 
 /// What a [`repair_closure`] run did, for the exact-accounting pins:
@@ -175,56 +165,29 @@ impl NetworkDelta {
                 new.graph().edge_count()
             )));
         }
-        let mut out = NetworkDelta::default();
-        for (id, e_old) in old.graph().edges() {
-            let e_new = new.graph().edge(id).expect("edge counts match");
-            if e_old.src != e_new.src || e_old.dst != e_new.dst {
-                return Err(MappingError::BadConfig(format!(
-                    "delta requires identical wiring, edge {} moved endpoints",
-                    id.index()
-                )));
-            }
-            let (lo, ln) = (&e_old.payload, &e_new.payload);
-            if lo.bw_mbps.to_bits() != ln.bw_mbps.to_bits()
-                || lo.mld_ms.to_bits() != ln.mld_ms.to_bits()
-            {
-                if ln.is_failed() && !lo.is_failed() {
-                    out.link_failures.push(LinkFailure {
-                        edge: id,
-                        src: e_old.src,
-                        dst: e_old.dst,
-                        old: lo.clone(),
-                    });
-                } else {
-                    out.links.push(LinkPerturbation {
-                        edge: id,
-                        src: e_old.src,
-                        dst: e_old.dst,
-                        old: lo.clone(),
-                        new: ln.clone(),
-                    });
-                }
-            }
-        }
-        for i in 0..old.node_count() {
-            let id = NodeId::from_index(i);
-            let (po, pn) = (old.power(id), new.power(id));
-            if po.to_bits() != pn.to_bits() {
-                if pn == 0.0 {
-                    out.node_failures.push(NodeFailure {
-                        node: id,
-                        old_power: po,
-                    });
-                } else {
-                    out.nodes.push(NodePerturbation {
-                        node: id,
-                        old_power: po,
-                        new_power: pn,
-                    });
-                }
-            }
-        }
-        Ok(out)
+        let edges = (0..old.graph().edge_count()).map(EdgeId::from_index);
+        let nodes = (0..old.node_count()).map(NodeId::from_index);
+        diff(old, new, edges, nodes)
+    }
+
+    /// Builds a delta from a *known* changed-element set (e.g.
+    /// `DynamicNetwork::changes_between`) in O(|changes|), instead of
+    /// diffing whole networks like [`NetworkDelta::between`]. `links` may
+    /// name either direction of an undirected pair — both directed edges
+    /// are diffed (pair ids differ by exactly one, a graph-construction
+    /// invariant) — and duplicate links or nodes are ignored. Elements
+    /// whose values turn out bit-identical are dropped, so over-reporting
+    /// changes is harmless; *under*-reporting is the caller's contract to
+    /// avoid.
+    pub fn from_changed_elements(
+        old: &Network,
+        new: &Network,
+        links: &[EdgeId],
+        nodes: &[NodeId],
+    ) -> Result<NetworkDelta> {
+        // the undirected pair's other half is the id with the low bit flipped
+        let edges = links.iter().flat_map(|id| [*id, EdgeId(id.0 ^ 1)]);
+        diff(old, new, edges, nodes.iter().copied())
     }
 
     /// Rebuilds the new network from the old one: a copy of `base` with
@@ -233,160 +196,122 @@ impl NetworkDelta {
     /// Every `old` value must match the element it overwrites bit for bit,
     /// and every id must exist with the endpoints the delta names, so a
     /// delta taken against some other network is rejected instead of
-    /// producing a hybrid. A failed link gets the sentinel
-    /// [`elpc_netsim::Network::fail_link_symmetric`] installs: bandwidth
-    /// `0.0`, its old MLD kept.
+    /// producing a hybrid.
     pub fn apply(&self, base: &Network) -> std::result::Result<Network, DeltaApplyError> {
         let mut out = base.clone();
         for lp in &self.links {
-            set_link(&mut out, lp.edge, (lp.src, lp.dst), &lp.old, lp.new.clone())?;
-        }
-        for lf in &self.link_failures {
-            let failed = Link::new(0.0, lf.old.mld_ms);
-            set_link(&mut out, lf.edge, (lf.src, lf.dst), &lf.old, failed)?;
+            set_link(&mut out, lp)?;
         }
         for np in &self.nodes {
-            set_power(&mut out, np.node, np.old_power, np.new_power)?;
-        }
-        for nf in &self.node_failures {
-            set_power(&mut out, nf.node, nf.old_power, 0.0)?;
+            set_power(&mut out, np)?;
         }
         Ok(out)
     }
 
     /// True when nothing changed: old and new networks are value-identical.
     pub fn is_empty(&self) -> bool {
-        self.links.is_empty()
-            && self.nodes.is_empty()
-            && self.link_failures.is_empty()
-            && self.node_failures.is_empty()
+        self.links.is_empty() && self.nodes.is_empty()
     }
 
-    /// True when the delta contains a removal — a failed link or a crashed
-    /// node (as opposed to pure value perturbations and restores).
+    /// True when the delta contains a failed link or a crashed node (as
+    /// opposed to pure value perturbations and restores).
     pub fn has_failures(&self) -> bool {
-        !self.link_failures.is_empty() || !self.node_failures.is_empty()
+        self.links.iter().any(LinkPerturbation::is_failure)
+            || self.nodes.iter().any(NodePerturbation::is_crash)
     }
 
     /// True when any of `hosts` (a mapped pipeline's assignment) sits on a
     /// node that crashed in this delta — that pipeline *must* be remapped;
     /// no amount of closure repair can salvage a dead host.
     pub fn forces_remap(&self, hosts: &[NodeId]) -> bool {
-        self.node_failures.iter().any(|nf| hosts.contains(&nf.node))
-    }
-
-    /// Builds a delta from a *known* changed-element set (e.g.
-    /// `DynamicNetwork::changes_between`) in O(|changes|), instead of
-    /// diffing whole networks like [`NetworkDelta::between`]. `links` may
-    /// name either direction of an undirected pair — both directed edges
-    /// are diffed (pair ids differ by exactly one, a graph-construction
-    /// invariant) and duplicates are ignored. Elements whose values turn
-    /// out bit-identical are dropped, so over-reporting changes is
-    /// harmless; *under*-reporting is the caller's contract to avoid.
-    pub fn from_changed_elements(
-        old: &Network,
-        new: &Network,
-        links: &[EdgeId],
-        nodes: &[NodeId],
-    ) -> Result<NetworkDelta> {
-        let mut directed: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-        for id in links {
-            directed.insert(id.0);
-            directed.insert(id.0 ^ 1); // the undirected pair's other half
-        }
-        let mut out = NetworkDelta::default();
-        for d in directed {
-            let id = EdgeId(d);
-            let e_old = old.graph().edge(id).map_err(|e| {
-                MappingError::BadConfig(format!("changed edge {d} not in old network: {e}"))
-            })?;
-            let e_new = new.graph().edge(id).map_err(|e| {
-                MappingError::BadConfig(format!("changed edge {d} not in new network: {e}"))
-            })?;
-            if e_old.src != e_new.src || e_old.dst != e_new.dst {
-                return Err(MappingError::BadConfig(format!(
-                    "delta requires identical wiring, edge {d} moved endpoints"
-                )));
-            }
-            let (lo, ln) = (&e_old.payload, &e_new.payload);
-            if lo.bw_mbps.to_bits() != ln.bw_mbps.to_bits()
-                || lo.mld_ms.to_bits() != ln.mld_ms.to_bits()
-            {
-                if ln.is_failed() && !lo.is_failed() {
-                    out.link_failures.push(LinkFailure {
-                        edge: id,
-                        src: e_old.src,
-                        dst: e_old.dst,
-                        old: lo.clone(),
-                    });
-                } else {
-                    out.links.push(LinkPerturbation {
-                        edge: id,
-                        src: e_old.src,
-                        dst: e_old.dst,
-                        old: lo.clone(),
-                        new: ln.clone(),
-                    });
-                }
-            }
-        }
-        for &node in nodes {
-            if node.index() >= old.node_count() || node.index() >= new.node_count() {
-                return Err(MappingError::BadConfig(format!(
-                    "changed node {} out of range",
-                    node.index()
-                )));
-            }
-            let (po, pn) = (old.power(node), new.power(node));
-            if po.to_bits() != pn.to_bits() {
-                if pn == 0.0 {
-                    out.node_failures.push(NodeFailure {
-                        node,
-                        old_power: po,
-                    });
-                } else {
-                    out.nodes.push(NodePerturbation {
-                        node,
-                        old_power: po,
-                        new_power: pn,
-                    });
-                }
-            }
-        }
-        Ok(out)
+        self.nodes
+            .iter()
+            .any(|np| np.is_crash() && hosts.contains(&np.node))
     }
 
     /// The perturbed link costs under `cost` for one payload size, with
-    /// no-op changes (bit-identical old/new cost) already dropped. Failures
-    /// price at `+∞` and carry the `removal` flag, which restricts the
-    /// invalidation rule to rule 1 — an off-tree edge that only got worse
-    /// can never newly compete.
+    /// no-op changes (bit-identical old/new cost) already dropped. A cut
+    /// prices at `+∞` like any other new value (see the module docs for
+    /// why rule 2 then never fires).
     fn priced_links(&self, cost: &CostModel, bytes: f64) -> Vec<PricedChange> {
-        let perturbed = self.links.iter().filter_map(|lp| {
-            let w_old = cost.raw_link_transfer_ms(&lp.old, bytes);
-            let w_new = cost.raw_link_transfer_ms(&lp.new, bytes);
-            (w_old.to_bits() != w_new.to_bits()).then_some(PricedChange {
-                edge: lp.edge,
-                u: lp.src.index(),
-                v: lp.dst.index(),
-                w_new,
-                removal: false,
+        self.links
+            .iter()
+            .filter_map(|lp| {
+                let w_old = cost.raw_link_transfer_ms(&lp.old, bytes);
+                let w_new = cost.raw_link_transfer_ms(&lp.new, bytes);
+                (w_old.to_bits() != w_new.to_bits()).then_some(PricedChange {
+                    edge: lp.edge,
+                    u: lp.src.index(),
+                    v: lp.dst.index(),
+                    w_new,
+                })
             })
-        });
-        let failed = self.link_failures.iter().filter_map(|lf| {
-            // a healthy link's cost is finite; if it already priced at +∞
-            // (degenerate payload) the failure is a cost no-op
-            let w_old = cost.raw_link_transfer_ms(&lf.old, bytes);
-            w_old.is_finite().then_some(PricedChange {
-                edge: lf.edge,
-                u: lf.src.index(),
-                v: lf.dst.index(),
-                w_new: f64::INFINITY,
-                removal: true,
-            })
-        });
-        perturbed.chain(failed).collect()
+            .collect()
     }
+}
+
+/// The one diff behind [`NetworkDelta::between`] and
+/// [`NetworkDelta::from_changed_elements`]: compares the named directed
+/// edges and nodes of `old` and `new` by bit pattern, each id once, in
+/// ascending id order.
+fn diff(
+    old: &Network,
+    new: &Network,
+    edges: impl IntoIterator<Item = EdgeId>,
+    nodes: impl IntoIterator<Item = NodeId>,
+) -> Result<NetworkDelta> {
+    let mut edges: Vec<EdgeId> = edges.into_iter().collect();
+    edges.sort_unstable();
+    edges.dedup();
+    let mut nodes: Vec<NodeId> = nodes.into_iter().collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    let mut out = NetworkDelta::default();
+    for id in edges {
+        let d = id.0;
+        let e_old = old.graph().edge(id).map_err(|e| {
+            MappingError::BadConfig(format!("changed edge {d} not in old network: {e}"))
+        })?;
+        let e_new = new.graph().edge(id).map_err(|e| {
+            MappingError::BadConfig(format!("changed edge {d} not in new network: {e}"))
+        })?;
+        if e_old.src != e_new.src || e_old.dst != e_new.dst {
+            return Err(MappingError::BadConfig(format!(
+                "delta requires identical wiring, edge {d} moved endpoints"
+            )));
+        }
+        if !same_link(&e_old.payload, &e_new.payload) {
+            out.links.push(LinkPerturbation {
+                edge: id,
+                src: e_old.src,
+                dst: e_old.dst,
+                old: e_old.payload.clone(),
+                new: e_new.payload.clone(),
+            });
+        }
+    }
+    for node in nodes {
+        if node.index() >= old.node_count() || node.index() >= new.node_count() {
+            return Err(MappingError::BadConfig(format!(
+                "changed node {} out of range",
+                node.index()
+            )));
+        }
+        let (old_power, new_power) = (old.power(node), new.power(node));
+        if old_power.to_bits() != new_power.to_bits() {
+            out.nodes.push(NodePerturbation {
+                node,
+                old_power,
+                new_power,
+            });
+        }
+    }
+    Ok(out)
+}
+
+/// Bit-pattern equality of two link values.
+fn same_link(a: &Link, b: &Link) -> bool {
+    a.bw_mbps.to_bits() == b.bw_mbps.to_bits() && a.mld_ms.to_bits() == b.mld_ms.to_bits()
 }
 
 /// Why [`NetworkDelta::apply`] refused a base network.
@@ -443,43 +368,31 @@ impl std::fmt::Display for DeltaApplyError {
 
 impl std::error::Error for DeltaApplyError {}
 
-fn set_link(
-    net: &mut Network,
-    edge: EdgeId,
-    (src, dst): (NodeId, NodeId),
-    old: &Link,
-    new: Link,
-) -> std::result::Result<(), DeltaApplyError> {
+fn set_link(net: &mut Network, lp: &LinkPerturbation) -> std::result::Result<(), DeltaApplyError> {
+    let edge = lp.edge;
     let e = net
         .graph()
         .edge(edge)
         .map_err(|_| DeltaApplyError::EdgeOutOfRange { edge })?;
-    if e.src != src || e.dst != dst {
+    if e.src != lp.src || e.dst != lp.dst {
         return Err(DeltaApplyError::EndpointMismatch { edge });
     }
-    let cur = &e.payload;
-    if cur.bw_mbps.to_bits() != old.bw_mbps.to_bits()
-        || cur.mld_ms.to_bits() != old.mld_ms.to_bits()
-    {
+    if !same_link(&e.payload, &lp.old) {
         return Err(DeltaApplyError::StaleLink { edge });
     }
-    *net.link_mut(edge).expect("edge checked above") = new;
+    *net.link_mut(edge).expect("edge checked above") = lp.new.clone();
     Ok(())
 }
 
-fn set_power(
-    net: &mut Network,
-    node: NodeId,
-    old: f64,
-    new: f64,
-) -> std::result::Result<(), DeltaApplyError> {
+fn set_power(net: &mut Network, np: &NodePerturbation) -> std::result::Result<(), DeltaApplyError> {
+    let node = np.node;
     let n = net
         .node_mut(node)
         .map_err(|_| DeltaApplyError::NodeOutOfRange { node })?;
-    if n.power.to_bits() != old.to_bits() {
+    if n.power.to_bits() != np.old_power.to_bits() {
         return Err(DeltaApplyError::StalePower { node });
     }
-    n.power = new;
+    n.power = np.new_power;
     Ok(())
 }
 
@@ -490,8 +403,6 @@ struct PricedChange {
     u: usize,
     v: usize,
     w_new: f64,
-    /// True for failures: the edge went to `+∞`, so only rule 1 applies.
-    removal: bool,
 }
 
 /// The invalidation rule (module docs) for one tree against one payload's
@@ -505,10 +416,6 @@ fn tree_is_stale(tree: &ShortestPaths, edge_count: usize, priced: &[PricedChange
         if on_tree.contains(pc.edge) {
             return true; // rule 1: the tree traverses the changed edge
         }
-        if pc.removal {
-            // a removed off-tree edge only got worse — it cannot compete
-            return false;
-        }
         let du = tree.dist[pc.u];
         // rule 2: a changed off-tree edge now matches or beats the
         // retained distance at its head
@@ -518,7 +425,7 @@ fn tree_is_stale(tree: &ShortestPaths, edge_count: usize, priced: &[PricedChange
 
 /// Repairs `entries` (an old closure's [`crate::MetricClosure::export`])
 /// into `target`, a closure over the *perturbed* network, per `delta`:
-/// trees the invalidation rule retains are seeded as shared `Arc`s, stale
+/// trees [`partition_stale`] retains are seeded as shared `Arc`s, stale
 /// sources are rebuilt through the CSR kernel on `threads` workers.
 ///
 /// After this returns, `target` answers every key `entries` held,
@@ -532,26 +439,17 @@ pub fn repair_closure(
     delta: &NetworkDelta,
     threads: usize,
 ) -> RepairReport {
-    let edge_count = target.network().graph().edge_count();
-    // price each distinct payload once; BTreeMap keeps rebuild order
-    // deterministic regardless of entry order
-    let mut priced_of: BTreeMap<u64, Vec<PricedChange>> = BTreeMap::new();
-    let mut kept: Vec<CachedTree> = Vec::with_capacity(entries.len());
-    let mut stale: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
-    for e in entries {
-        let bits = e.key.payload().to_bits();
-        let priced = priced_of
-            .entry(bits)
-            .or_insert_with(|| delta.priced_links(target.cost(), e.key.payload()));
-        if tree_is_stale(&e.tree, edge_count, priced) {
-            stale.entry(bits).or_default().push(e.key.source_node());
-        } else {
-            kept.push(e.clone());
-        }
-    }
+    let (kept, stale) = partition_stale(entries, target.network(), target.cost(), delta);
     let kept_count = target.seed(&kept);
+    // group by payload; BTreeMap keeps rebuild order deterministic
+    // regardless of entry order
+    let mut sources_of: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
+    for key in &stale {
+        let sources = sources_of.entry(key.payload().to_bits()).or_default();
+        sources.push(key.source_node());
+    }
     let mut rebuilt = 0;
-    for (bits, sources) in &stale {
+    for (bits, sources) in &sources_of {
         rebuilt += target.par_warm(sources, &[f64::from_bits(*bits)], threads);
     }
     RepairReport {
@@ -572,13 +470,13 @@ pub fn partition_stale(
     delta: &NetworkDelta,
 ) -> (Vec<CachedTree>, Vec<TreeKey>) {
     let edge_count = net.graph().edge_count();
+    // price each distinct payload once
     let mut priced_of: BTreeMap<u64, Vec<PricedChange>> = BTreeMap::new();
-    let mut kept = Vec::new();
+    let mut kept = Vec::with_capacity(entries.len());
     let mut stale = Vec::new();
     for e in entries {
-        let bits = e.key.payload().to_bits();
         let priced = priced_of
-            .entry(bits)
+            .entry(e.key.payload().to_bits())
             .or_insert_with(|| delta.priced_links(cost, e.key.payload()));
         if tree_is_stale(&e.tree, edge_count, priced) {
             stale.push(e.key);
@@ -639,14 +537,14 @@ mod tests {
         // Either direction of the pair names the same undirected link, and
         // duplicates collapse; unchanged elements are dropped.
         for links in [vec![EdgeId(2)], vec![EdgeId(3)], vec![EdgeId(2), EdgeId(3)]] {
-            let sparse = NetworkDelta::from_changed_elements(
-                &old,
-                &new,
-                &links,
-                &[NodeId(2), NodeId(0)], // NodeId(0) is unchanged — dropped
-            )
-            .unwrap();
-            assert_eq!(sparse, full);
+            // NodeId(0) is unchanged — dropped
+            for nodes in [
+                vec![NodeId(2), NodeId(0)],
+                vec![NodeId(2), NodeId(2), NodeId(0)],
+            ] {
+                let sparse = NetworkDelta::from_changed_elements(&old, &new, &links, &nodes);
+                assert_eq!(sparse.unwrap(), full);
+            }
         }
         assert!(NetworkDelta::from_changed_elements(&old, &new, &[EdgeId(99)], &[]).is_err());
     }
@@ -728,13 +626,22 @@ mod tests {
         failed.fail_node(NodeId(2)).unwrap(); // cuts links 2 and 3 too
 
         let delta = NetworkDelta::between(&old, &failed).unwrap();
-        assert!(delta.links.is_empty(), "no value perturbations");
-        assert!(delta.nodes.is_empty());
-        assert_eq!(delta.node_failures.len(), 1);
-        assert_eq!(delta.node_failures[0].node, NodeId(2));
-        assert_eq!(delta.node_failures[0].old_power, 100.0);
+        assert!(
+            delta.links.iter().all(|l| l.is_failure()),
+            "no value perturbations"
+        );
+        assert!(delta.nodes.iter().all(|n| n.is_crash()));
+        let crashes: Vec<&NodePerturbation> = delta.nodes.iter().filter(|n| n.is_crash()).collect();
+        assert_eq!(crashes.len(), 1);
+        assert_eq!(crashes[0].node, NodeId(2));
+        assert_eq!(crashes[0].old_power, 100.0);
         // failed directed edges: links 1, 2, 3 → ids 2,3,4,5,6,7
-        let mut ids: Vec<u32> = delta.link_failures.iter().map(|l| l.edge.0).collect();
+        let mut ids: Vec<u32> = delta
+            .links
+            .iter()
+            .filter(|l| l.is_failure())
+            .map(|l| l.edge.0)
+            .collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![2, 3, 4, 5, 6, 7]);
         assert!(delta.has_failures());
@@ -755,8 +662,8 @@ mod tests {
 
         // restoring diffs back as ordinary perturbations
         let restore = NetworkDelta::between(&failed, &old).unwrap();
-        assert!(restore.link_failures.is_empty());
-        assert!(restore.node_failures.is_empty());
+        assert!(!restore.links.iter().any(|l| l.is_failure()));
+        assert!(!restore.nodes.iter().any(|n| n.is_crash()));
         assert_eq!(restore.links.len(), 6);
         assert_eq!(restore.nodes.len(), 1);
     }
@@ -808,7 +715,7 @@ mod tests {
     #[test]
     fn off_tree_failure_keeps_every_tree() {
         // the slow detour 0-2-3 sits on no shortest-path tree; cutting it
-        // must keep everything (removal skips rule 2 entirely)
+        // must keep everything (a cut prices at +∞, so rule 2 never fires)
         let old = diamond();
         let cost = CostModel::default();
         let sources: Vec<NodeId> = (0..4).map(NodeId::from_index).collect();

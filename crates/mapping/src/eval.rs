@@ -227,7 +227,8 @@ impl EvalKernel {
     /// transfer rows whose `(payload, source)` tree went stale (the `stale`
     /// keys a churn repair identified, e.g. via
     /// [`crate::delta::partition_stale`]) are re-copied from `ctx`'s
-    /// *repaired* closure, and compute columns of power-perturbed nodes are
+    /// *repaired* closure, and compute columns of power-perturbed nodes
+    /// (crashes included: a crashed node's compute prices at `+∞`) are
     /// re-priced from `ctx`'s network; every other entry is memcpy'd
     /// unchanged. The result is bit-identical to [`EvalKernel::build`] on
     /// `ctx` — at the cost of the changed rows only.
@@ -276,19 +277,14 @@ impl EvalKernel {
             row.copy_from_slice(&tree.dist);
             row[a] = 0.0;
         }
-        let repriced_nodes = delta
-            .nodes
-            .iter()
-            .map(|np| np.node)
-            .chain(delta.node_failures.iter().map(|nf| nf.node));
-        for node in repriced_nodes {
-            let v = node.index();
+        for np in &delta.nodes {
+            let v = np.node.index();
             for j in 0..self.n {
                 let work = pipe.compute_work(j);
                 if work > 0.0 {
                     // a crashed node's power is 0 → compute prices at +∞,
                     // exactly what a cold build over the failed network does
-                    patched.compute[j * k + v] = work / net.power(node);
+                    patched.compute[j * k + v] = work / net.power(np.node);
                 }
             }
         }

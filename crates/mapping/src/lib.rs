@@ -96,10 +96,7 @@ mod test_fixtures;
 
 pub use context::{CachedTree, ClosureStats, MetricClosure, SolveContext, TreeKey};
 pub use cost::{CostModel, Stage};
-pub use delta::{
-    DeltaApplyError, LinkFailure, LinkPerturbation, NetworkDelta, NodeFailure, NodePerturbation,
-    RepairReport,
-};
+pub use delta::{DeltaApplyError, LinkPerturbation, NetworkDelta, NodePerturbation, RepairReport};
 pub use error::MappingError;
 pub use eval::{BoundedEval, DeltaEval, EvalKernel, MoveSpec};
 pub use lns::LnsConfig;

@@ -11,9 +11,7 @@
 //!   corrupt length prefixes must come back as typed [`FrameError`]s,
 //!   never a panic.
 
-use elpc_mapping::{
-    CostModel, LinkFailure, LinkPerturbation, NetworkDelta, NodeFailure, NodeId, NodePerturbation,
-};
+use elpc_mapping::{CostModel, LinkPerturbation, NetworkDelta, NodeId, NodePerturbation};
 use elpc_netgraph::EdgeId;
 use elpc_netsim::Link;
 use elpc_serving::protocol::{
@@ -163,40 +161,43 @@ fn arb_delta() -> impl Strategy<Value = NetworkDelta> {
                     new_power,
                 })
                 .collect(),
-            // Failure payloads ride the same wire; exercised separately in
-            // arb_failure_delta to keep this generator's tuple small.
-            link_failures: Vec::new(),
-            node_failures: Vec::new(),
         })
 }
 
-/// Deltas carrying failure payloads: the failover repair fields must
-/// round-trip exactly like perturbations do.
+/// Deltas of failures: perturbations to the `bw = 0` / `power = 0`
+/// sentinels (some cuts also move the MLD) must round-trip exactly like
+/// any other perturbation.
 fn arb_failure_delta() -> impl Strategy<Value = NetworkDelta> {
     (
         prop::collection::vec(
-            (any::<u32>(), arb_node(), arb_node(), arb_finite_f64()),
+            (
+                any::<u32>(),
+                arb_node(),
+                arb_node(),
+                arb_finite_f64(),
+                0.0..2.0f64,
+            ),
             0..3,
         ),
         prop::collection::vec((arb_node(), arb_finite_f64()), 0..3),
     )
         .prop_map(|(links, nodes)| NetworkDelta {
-            links: Vec::new(),
-            nodes: Vec::new(),
-            link_failures: links
+            links: links
                 .into_iter()
-                .map(|(e, src, dst, old_bw)| LinkFailure {
+                .map(|(e, src, dst, old_bw, mld_shift)| LinkPerturbation {
                     edge: EdgeId(e % 64),
                     src,
                     dst,
                     old: Link::new(old_bw.abs().max(1.0), 0.1),
+                    new: Link::new(0.0, 0.1 + mld_shift),
                 })
                 .collect(),
-            node_failures: nodes
+            nodes: nodes
                 .into_iter()
-                .map(|(node, old_power)| NodeFailure {
+                .map(|(node, old_power)| NodePerturbation {
                     node,
                     old_power: old_power.abs().max(1.0),
+                    new_power: 0.0,
                 })
                 .collect(),
         })

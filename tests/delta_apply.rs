@@ -29,7 +29,8 @@ fn network(kind: u8, seed: u64) -> Network {
 }
 
 /// One random step: churn a few links and maybe a node power, cut a
-/// healthy link, crash a healthy node, or restore everything that failed.
+/// healthy link (sometimes moving its MLD too), crash a healthy node, or
+/// restore everything that failed.
 fn step(net: &Network, rng: &mut ChaCha8Rng) -> Network {
     let mut out = net.clone();
     let healthy_links: Vec<EdgeId> = (0..net.link_count())
@@ -55,7 +56,13 @@ fn step(net: &Network, rng: &mut ChaCha8Rng) -> Network {
         }
         1 => {
             let id = healthy_links[rng.gen_range(0..healthy_links.len())];
-            out.fail_link_symmetric(id).expect("valid link");
+            let old = out.fail_link_symmetric(id).expect("valid link");
+            if rng.gen_bool(0.5) {
+                // a cut that also moves the MLD in the same step
+                let mld_ms = old.mld_ms + rng.gen_range(0.01..1.0);
+                out.set_link_symmetric(id, Link::new(0.0, mld_ms))
+                    .expect("valid link");
+            }
         }
         2 => {
             let healthy: Vec<NodeId> = out.node_ids().filter(|&v| !out.node_is_failed(v)).collect();

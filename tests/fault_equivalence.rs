@@ -197,11 +197,11 @@ fn failure_then_restore_round_trips_to_the_original_closure() {
     let cut = NetworkDelta::between(&net, &failed_net).expect("same shape");
     // both directions of the symmetric cut classify as failures
     assert_eq!(
-        cut.link_failures.len(),
+        cut.links.iter().filter(|l| l.is_failure()).count(),
         2,
         "the cut is a failure, not churn"
     );
-    assert!(cut.links.is_empty());
+    assert!(cut.links.iter().all(|l| l.is_failure()));
 
     let during = MetricClosure::new(&failed_net, cost);
     repair_closure(&during, &original, &cut, 1);
@@ -218,7 +218,7 @@ fn failure_then_restore_round_trips_to_the_original_closure() {
         .expect("same shape");
     let restore = NetworkDelta::between(&failed_net, &restored_net).expect("same shape");
     assert_eq!(restore.links.len(), 2, "a restore is churn, not a failure");
-    assert!(restore.link_failures.is_empty());
+    assert!(!restore.links.iter().any(|l| l.is_failure()));
 
     let after = MetricClosure::new(&restored_net, cost);
     let entries = during.export();
@@ -265,9 +265,13 @@ fn every_registry_solver_is_bit_identical_repaired_vs_cold_after_failures() {
             .expect("valid link");
 
         let delta = NetworkDelta::between(&base.network, &live.network).expect("same shape");
-        assert_eq!(delta.node_failures.len(), 1, "{label}: crash classified");
+        assert_eq!(
+            delta.nodes.iter().filter(|n| n.is_crash()).count(),
+            1,
+            "{label}: crash classified"
+        );
         assert!(
-            !delta.link_failures.is_empty(),
+            delta.links.iter().any(|l| l.is_failure()),
             "{label}: cuts classified (crash incidents + explicit cut)"
         );
         assert!(delta.forces_remap(&[crash]), "{label}: dead host detected");
