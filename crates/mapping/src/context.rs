@@ -60,7 +60,7 @@
 //! can be reconstructed without a new traversal.
 
 use crate::{CostModel, Instance, MappingError, Result};
-use elpc_netgraph::algo::{extract_path, ShortestPaths};
+use elpc_netgraph::algo::ShortestPaths;
 use elpc_netgraph::csr::{Csr, SsspScratch};
 use elpc_netgraph::NodeId;
 use parking_lot::RwLock;
@@ -169,52 +169,6 @@ fn shard_of(key: &TreeKey) -> usize {
     let mut h = elpc_netgraph::fnv::Fnv1a::new();
     h.write_u64(key.payload_bits).write_u64(key.source as u64);
     (h.finish() >> 32) as usize & (SHARD_COUNT - 1)
-}
-
-/// Minimum node count before the routed **delay** DP chunks its per-stage
-/// relax loop across worker threads: below this, the `O(k²)` column update
-/// is microseconds of float work and a per-stage scope spawn/join would
-/// cost more than it saves. Results are identical either way — this is
-/// purely a crossover point.
-pub(crate) const MIN_PARALLEL_RELAX_NODES_DELAY: usize = 64;
-
-/// Crossover for the routed **rate** DP's label relax. Its per-stage cost
-/// is `O(k² × labels)` with bitmask cloning per extension — two orders of
-/// magnitude heavier per cell than the delay DP (compare the
-/// `reference_warm` entries in `BENCH_metaheuristics.json`) — so chunking
-/// pays off at much smaller networks.
-pub(crate) const MIN_PARALLEL_RELAX_NODES_RATE: usize = 24;
-
-/// The chunked column-update scaffolding shared by the routed DPs'
-/// per-stage relax loops: applies `relax(v, &mut cells[v])` to every cell,
-/// inline when `threads <= 1`, otherwise on scoped worker threads that each
-/// own one contiguous chunk of cells. Because every cell is computed
-/// independently and `relax` receives the same index either way, the chunk
-/// layout cannot affect any cell's value — serial and chunked runs are
-/// bit-for-bit identical.
-pub(crate) fn relax_columns_chunked<T: Send, F>(threads: usize, cells: &mut [T], relax: F)
-where
-    F: Fn(usize, &mut T) + Sync,
-{
-    let k = cells.len();
-    if threads <= 1 || k < 2 {
-        for (v, cell) in cells.iter_mut().enumerate() {
-            relax(v, cell);
-        }
-        return;
-    }
-    let chunk = k.div_ceil(threads.min(k));
-    crossbeam::scope(|scope| {
-        let relax = &relax;
-        for (ci, cells_c) in cells.chunks_mut(chunk).enumerate() {
-            scope.spawn(move |_| {
-                for (i, cell) in cells_c.iter_mut().enumerate() {
-                    relax(ci * chunk + i, cell);
-                }
-            });
-        }
-    })
-    .expect("relax workers must not panic");
 }
 
 /// Resolves a thread-count request: `0` means "all CPUs".
@@ -444,16 +398,6 @@ impl<'a> MetricClosure<'a> {
                 "no route from {a} to {b} in the network"
             )))
         }
-    }
-
-    /// The node sequence of the cheapest route `a → b` for `bytes`, from
-    /// the cached predecessor map. `None` when unreachable.
-    pub fn routed_path(&self, a: NodeId, b: NodeId, bytes: f64) -> Option<Vec<NodeId>> {
-        if a == b {
-            return Some(vec![a]);
-        }
-        let tree = self.routed_from(a, bytes);
-        extract_path(&tree, a, b)
     }
 
     /// Cache statistics so far.
@@ -731,10 +675,6 @@ mod tests {
         // 1 MB over the direct 1 Mbps link = 8000 ms; via n1 = 16.2 ms
         let t = mc.routed_transfer_ms(NodeId(0), NodeId(2), 1e6).unwrap();
         assert!((t - 16.2).abs() < 1e-9, "got {t}");
-        assert_eq!(
-            mc.routed_path(NodeId(0), NodeId(2), 1e6).unwrap(),
-            vec![NodeId(0), NodeId(1), NodeId(2)]
-        );
         assert_eq!(
             mc.routed_transfer_ms(NodeId(1), NodeId(1), 1e9).unwrap(),
             0.0

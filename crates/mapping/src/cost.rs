@@ -1,7 +1,7 @@
 //! The analytic cost model: Eq. 1 (end-to-end delay) and Eq. 2 (bottleneck /
 //! frame rate) of §2.3.
 
-use crate::{Instance, Mapping, MappingError, Result};
+use crate::{Instance, Mapping, Result};
 use elpc_netgraph::NodeId;
 use serde::{Deserialize, Serialize};
 
@@ -198,18 +198,12 @@ impl CostModel {
             self.bottleneck_ms(inst, mapping)?,
         ))
     }
-
-    /// Validation helper shared by solvers: ensures the instance's pipeline
-    /// and network are individually sane before solving.
-    pub fn check_instance(&self, inst: &Instance<'_>) -> Result<()> {
-        inst.network.validate().map_err(MappingError::from)?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MappingError;
     use elpc_netsim::Network;
     use elpc_pipeline::{Module, Pipeline};
 

@@ -7,17 +7,19 @@
 //!
 //! 1. **stay** — module `j` joins the group on the same node `v`
 //!    (`T_{j-1}(v) + c_j·m_{j-1}/p_v`), and
-//! 2. **move** — module `j` starts a new group on `v`, fed over an incoming
-//!    link from a neighbor `u`
-//!    (`T_{j-1}(u) + c_j·m_{j-1}/p_v + transfer(m_{j-1}, u→v)`).
+//! 2. **move** — module `j` starts a new group on `v`, fed from the host `u`
+//!    of module `j-1` (`T_{j-1}(u) + c_j·m_{j-1}/p_v + transfer(m_{j-1}, u→v)`).
 //!
 //! The base column pins module 0 (the data source) to `vs` with zero cost;
 //! this deliberately *includes* `T_1(vs)` via the stay case, which the
 //! paper's Eq. 4 omits but its own Fig. 3 solution requires (DESIGN.md
 //! erratum 2).
 //!
-//! Complexity: `O(n·(k + |E|))` time, `O(n·k)` parent space — the paper's
-//! `O(n·|E|)` with the `k` term made explicit for the stay scan.
+//! One column loop, `solve_columns`, serves both variants; they differ only
+//! in the moves they offer it: [`solve`] the network's links, and
+//! [`solve_routed_ctx`] every host pair of the metric closure. A cell keeps
+//! a move only if it is strictly smaller, so ties go to the stay case, then
+//! to the first move offered: each variant's move order is its tie-break.
 
 use crate::{
     AssignmentSolution, CostModel, DelaySolution, Instance, Mapping, MappingError, Result,
@@ -25,19 +27,86 @@ use crate::{
 };
 use elpc_netgraph::NodeId;
 
-/// Back-pointer for path reconstruction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Parent {
-    /// Unreached cell.
-    None,
-    /// Stay on the same node as module `j-1`.
-    Stay,
-    /// Move from neighbor `u` (module `j-1` runs on `u`).
-    Move(NodeId),
+/// The column under construction: each host's compute time for the
+/// column's module, and each cell's best delay and parent host so far.
+struct Column {
+    compute: Vec<f64>,
+    cost: Vec<f64>,
+    parent: Vec<Option<NodeId>>,
+}
+
+impl Column {
+    /// Offers a move `u → v` with total delay `t`; the cell keeps it only
+    /// when it is strictly smaller than the cell's best so far.
+    #[inline]
+    fn relax(&mut self, u: usize, v: usize, t: f64) {
+        if t < self.cost[v] {
+            self.cost[v] = t;
+            self.parent[v] = Some(NodeId::from_index(u));
+        }
+    }
+}
+
+/// The delay DP's column loop. Column `j` seeds each cell with its stay
+/// value (`prev[v] + compute[v]`, parent `v`), then `moves(j, prev, col)`
+/// offers its moves through [`Column::relax`]. Returns the assignment and
+/// delay of the best walk into the destination, `None` if there is none.
+fn solve_columns<M>(inst: &Instance<'_>, mut moves: M) -> Option<(Vec<NodeId>, f64)>
+where
+    M: FnMut(usize, &[f64], &mut Column),
+{
+    let net = inst.network;
+    let pipe = inst.pipeline;
+    let n = pipe.len();
+    let k = net.node_count();
+    // T[v] for the previous column; module 0 sits on src at zero cost.
+    let mut prev = vec![f64::INFINITY; k];
+    prev[inst.src.index()] = 0.0;
+    // parents[j - 1][v] for columns j = 1..n (column 0 is implicit)
+    let mut parents = Vec::with_capacity(n - 1);
+    let mut col = Column {
+        compute: vec![0.0; k],
+        cost: vec![f64::INFINITY; k],
+        parent: vec![None; k],
+    };
+    for j in 1..n {
+        let work = pipe.compute_work(j);
+        for v in 0..k {
+            let vid = NodeId::from_index(v);
+            col.compute[v] = work / net.power(vid);
+            let reached = prev[v].is_finite();
+            col.cost[v] = if reached {
+                prev[v] + col.compute[v]
+            } else {
+                f64::INFINITY
+            };
+            col.parent[v] = reached.then_some(vid);
+        }
+        moves(j, &prev, &mut col);
+        parents.push(col.parent.clone());
+        prev.copy_from_slice(&col.cost);
+    }
+
+    let total = prev[inst.dst.index()];
+    if !total.is_finite() {
+        return None;
+    }
+    // walk parents back from (n-1, dst)
+    let mut assignment = vec![inst.dst; n];
+    for j in (1..n).rev() {
+        assignment[j - 1] =
+            parents[j - 1][assignment[j].index()].expect("finite cells have parents");
+    }
+    debug_assert_eq!(assignment[0], inst.src, "module 0 must end on the source");
+    Some((assignment, total))
 }
 
 /// Solves the minimum end-to-end delay problem. Returns the optimal mapping
 /// and its Eq. 1 delay.
+///
+/// Moves are the network's links in edge-id order (ties go to the lowest
+/// edge id), each charged `(prev[u] + compute[v]) + transfer(u→v)`.
+/// `O(n·(k + |E|))` time — the paper's `O(n·|E|)` plus the stay scan.
 ///
 /// Errors with [`MappingError::Infeasible`] when the destination cannot be
 /// reached within `n - 1` hops (§4.3: "the shortest end-to-end path is
@@ -45,71 +114,25 @@ enum Parent {
 pub fn solve(inst: &Instance<'_>, cost: &CostModel) -> Result<DelaySolution> {
     let net = inst.network;
     let pipe = inst.pipeline;
-    let n = pipe.len();
-    let k = net.node_count();
-    debug_assert!(n >= 2, "Pipeline guarantees >= 2 modules");
-
-    // T[v] for the previous column; module 0 sits on src at zero cost.
-    let mut prev = vec![f64::INFINITY; k];
-    prev[inst.src.index()] = 0.0;
-    // parents[j][v] for columns j = 1..n (column 0 is implicit).
-    let mut parents: Vec<Vec<Parent>> = Vec::with_capacity(n - 1);
-
-    let mut cur = vec![f64::INFINITY; k];
-    for j in 1..n {
+    let (assignment, total) = solve_columns(inst, |j, prev, col| {
         let in_bytes = pipe.input_bytes(j);
-        let work = pipe.compute_work(j);
-        let mut parent = vec![Parent::None; k];
-        // sub-case (i): stay on the node running module j-1
-        for v in 0..k {
-            cur[v] = if prev[v].is_finite() {
-                let t = prev[v] + work / net.power(NodeId::from_index(v));
-                parent[v] = Parent::Stay;
-                t
-            } else {
-                f64::INFINITY
-            };
-        }
-        // sub-case (ii): arrive over an incoming edge u → v
         for (eid, e) in net.graph().edges() {
-            let u = e.src.index();
+            let (u, v) = (e.src.index(), e.dst.index());
             if !prev[u].is_finite() {
                 continue;
             }
-            let v = e.dst.index();
-            let t = prev[u] + work / net.power(e.dst) + cost.edge_transfer_ms(net, eid, in_bytes);
-            if t < cur[v] {
-                cur[v] = t;
-                parent[v] = Parent::Move(e.src);
-            }
+            let t = prev[u] + col.compute[v] + cost.edge_transfer_ms(net, eid, in_bytes);
+            col.relax(u, v, t);
         }
-        parents.push(parent);
-        std::mem::swap(&mut prev, &mut cur);
-    }
-
-    let total = prev[inst.dst.index()];
-    if !total.is_finite() {
-        return Err(MappingError::Infeasible(format!(
+    })
+    .ok_or_else(|| {
+        MappingError::Infeasible(format!(
             "destination {} is more than {} hops from source {}",
             inst.dst,
-            n - 1,
+            pipe.len() - 1,
             inst.src
-        )));
-    }
-
-    // walk parents back from (n-1, dst)
-    let mut assignment = vec![inst.dst; n];
-    let mut node = inst.dst;
-    for j in (1..n).rev() {
-        assignment[j] = node;
-        match parents[j - 1][node.index()] {
-            Parent::Stay => {}
-            Parent::Move(u) => node = u,
-            Parent::None => unreachable!("finite cells always have Stay/Move parents"),
-        }
-    }
-    assignment[0] = node;
-    debug_assert_eq!(assignment[0], inst.src, "module 0 must end on the source");
+        ))
+    })?;
 
     let mapping = Mapping::from_assignment(&assignment)?;
     debug_assert!(
@@ -131,106 +154,46 @@ pub fn solve(inst: &Instance<'_>, cost: &CostModel) -> Result<DelaySolution> {
 /// must place a module on every traversed node. Free-placement baselines
 /// (Streamline) are instead evaluated under routed transport — the best
 /// multi-hop route between consecutive hosts ([`crate::routed`]). This
-/// variant runs the same dynamic program over the *complete overlay* whose
+/// variant runs the same column loop over the *complete overlay* whose
 /// `u → v` cost is the routed transfer time, making it **optimal for the
 /// routed objective**: no per-module placement, Streamline's included, can
 /// beat it. Use it whenever baselines are compared under routed semantics
 /// (the Fig. 2/5 tables do).
 ///
-/// Complexity: `O(n · k · (|E| + k) log k)` Dijkstra work in the worst
-/// case, but every (payload, host) shortest-path tree comes from the
-/// context's shared [`crate::MetricClosure`], so repeated solves on one
-/// instance — and sibling solvers in a comparison — pay it only once.
-///
-/// The `O(k²)` per-stage relax loop runs on
-/// [`SolveContext::warm_threads`] chunked column workers (`0` = all CPUs):
-/// each worker owns a contiguous block of destination cells and scans every
-/// source row in ascending order, so the result is bit-for-bit identical at
-/// any thread count. At `threads == 1` no worker threads are spawned and
-/// the trees are still fetched lazily per stage.
+/// Moves are source-major: for each reached host `u` in ascending order,
+/// one [`SolveContext::routed_from`] query, then each other host `v` it
+/// reaches in ascending order, charged `(prev[u] + d(u→v)) + compute[v]`;
+/// ties go to the lowest source. `O(n·k²)` relax work plus the trees,
+/// which come from the context's shared [`crate::MetricClosure`] (built in
+/// parallel up front, [`SolveContext::warm_routed_dp`], on a
+/// [`SolveContext::with_threads`] context).
 pub fn solve_routed_ctx(ctx: &SolveContext<'_>) -> Result<AssignmentSolution> {
     let inst = ctx.instance();
-    let net = inst.network;
     let pipe = inst.pipeline;
-    let n = pipe.len();
-    let k = net.node_count();
-    // below the crossover size a per-stage scope spawn costs more than the
-    // whole O(k²) relax; the serial path computes identical cells
-    let threads = if k >= crate::context::MIN_PARALLEL_RELAX_NODES_DELAY {
-        crate::context::effective_threads(ctx.warm_threads())
-    } else {
-        1
-    };
-
-    // pre-build the per-source trees in parallel when the context asks for
-    // it (no-op on lazy serial contexts); the DP below then runs hot
     ctx.warm_routed_dp();
 
-    let mut prev = vec![f64::INFINITY; k];
-    prev[inst.src.index()] = 0.0;
-    let mut parents: Vec<Vec<Option<NodeId>>> = Vec::with_capacity(n - 1);
-    // one cell per destination node: (best delay, parent host)
-    let mut cur: Vec<(f64, Option<NodeId>)> = vec![(f64::INFINITY, None); k];
-
-    for j in 1..n {
+    let (assignment, total) = solve_columns(inst, |j, prev, col| {
         let in_bytes = pipe.input_bytes(j);
-        let work = pipe.compute_work(j);
-        // the per-source trees this column consults, fetched in ascending
-        // source order (the exact queries the serial loop used to make)
-        let trees: Vec<Option<std::sync::Arc<elpc_netgraph::algo::ShortestPaths>>> = prev
-            .iter()
-            .enumerate()
-            .map(|(u, &p)| {
-                p.is_finite()
-                    .then(|| ctx.routed_from(NodeId::from_index(u), in_bytes))
-            })
-            .collect();
-        // one destination cell: stay on the same host, then relax every
-        // incoming routed edge in ascending source order — the same float
-        // comparison sequence whichever chunk the cell lands in
-        let prev_col = &prev;
-        crate::context::relax_columns_chunked(threads, &mut cur, |v, cell| {
-            let vid = NodeId::from_index(v);
-            let compute = work / net.power(vid);
-            let (mut best, mut par) = if prev_col[v].is_finite() {
-                (prev_col[v] + compute, Some(vid))
-            } else {
-                (f64::INFINITY, None)
-            };
-            for (u, tree) in trees.iter().enumerate() {
-                let Some(tree) = tree else { continue };
-                if u == v || tree.dist[v].is_infinite() {
+        for (u, &from) in prev.iter().enumerate() {
+            if !from.is_finite() {
+                continue;
+            }
+            let tree = ctx.routed_from(NodeId::from_index(u), in_bytes);
+            for (v, &d) in tree.dist.iter().enumerate() {
+                if u == v || d.is_infinite() {
                     continue;
                 }
-                let t = prev_col[u] + tree.dist[v] + compute;
-                if t < best {
-                    best = t;
-                    par = Some(NodeId::from_index(u));
-                }
+                col.relax(u, v, from + d + col.compute[v]);
             }
-            *cell = (best, par);
-        });
-        parents.push(cur.iter().map(|&(_, par)| par).collect());
-        for (p, &(best, _)) in prev.iter_mut().zip(&cur) {
-            *p = best;
         }
-    }
-
-    let total = prev[inst.dst.index()];
-    if !total.is_finite() {
-        return Err(MappingError::Infeasible(format!(
+    })
+    .ok_or_else(|| {
+        MappingError::Infeasible(format!(
             "destination {} is unreachable from source {}",
             inst.dst, inst.src
-        )));
-    }
-    let mut assignment = vec![inst.dst; n];
-    let mut node = inst.dst;
-    for j in (1..n).rev() {
-        assignment[j] = node;
-        node = parents[j - 1][node.index()].expect("finite cells have parents");
-    }
-    assignment[0] = node;
-    debug_assert_eq!(assignment[0], inst.src);
+        ))
+    })?;
+
     debug_assert!({
         let re = crate::routed::routed_delay_ms_ctx(ctx, &assignment)?;
         (re - total).abs() <= 1e-6 * total.max(1.0)

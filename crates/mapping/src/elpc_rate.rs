@@ -18,6 +18,12 @@
 //! Eq. 5's transfer term is `m_{j-1}/b` here (the data module `j` actually
 //! receives); the paper prints `m_j`, inconsistent with its own base case
 //! Eq. 6 — DESIGN.md erratum 3.
+//!
+//! One column loop, `solve_columns`, serves both variants; they differ only
+//! in the moves they offer it: [`solve_with`] the network's links, and
+//! [`solve_routed_with_ctx`] every host pair of the metric closure. A new
+//! label goes after the cell's labels of equal bottleneck, so ties go to
+//! the first move offered: each variant's move order is its tie-break.
 
 use crate::{
     AssignmentSolution, CostModel, Instance, Mapping, MappingError, RateSolution, Result,
@@ -60,112 +66,140 @@ impl Label {
     }
 }
 
-/// Solves with the paper's single-label heuristic.
-pub fn solve(inst: &Instance<'_>, cost: &CostModel) -> Result<RateSolution> {
-    solve_with(inst, cost, RateConfig::default())
+/// The column under construction: the previous column's label sets, each
+/// host's compute time for the column's module, and the new label sets.
+struct Column<'c> {
+    prev: &'c [Vec<Label>],
+    compute: Vec<f64>,
+    cells: Vec<Vec<Label>>,
+    k_labels: usize,
 }
 
-/// Solves with an explicit [`RateConfig`].
-pub fn solve_with(
+impl Column<'_> {
+    /// Offers every label of `prev[u]` a move to `v` whose transfer stage
+    /// takes `transfer` ms, in label order; labels that already visited `v`
+    /// are skipped (node reuse is disabled for streaming).
+    #[inline]
+    fn offer(&mut self, u: usize, v: usize, transfer: f64) {
+        for (idx, label) in self.prev[u].iter().enumerate() {
+            if label.mask_contains(v) {
+                continue;
+            }
+            insert_label(
+                &mut self.cells[v],
+                Label {
+                    bottleneck: label.bottleneck.max(self.compute[v]).max(transfer),
+                    mask: label.mask_with(v),
+                    parent: Some((NodeId::from_index(u), idx as u32)),
+                },
+                self.k_labels,
+            );
+        }
+    }
+}
+
+/// The rate DP's column loop. Screens the instance (`k_labels ≥ 1`,
+/// `n ≤ k`, `src ≠ dst`), roots column 0 at the source, and lets
+/// `moves(j, col)` offer column `j`'s moves through [`Column::offer`].
+/// Returns the assignment and bottleneck of the best final label on the
+/// destination, `None` if there is none.
+fn solve_columns<M>(
     inst: &Instance<'_>,
-    cost: &CostModel,
     config: RateConfig,
-) -> Result<RateSolution> {
+    mut moves: M,
+) -> Result<Option<(Vec<NodeId>, f64)>>
+where
+    M: FnMut(usize, &mut Column<'_>),
+{
     if config.k_labels == 0 {
         return Err(MappingError::BadConfig(
             "k_labels must be at least 1".into(),
         ));
     }
+    inst.ensure_distinct_hosts_feasible()?;
     let net = inst.network;
     let pipe = inst.pipeline;
     let n = pipe.len();
     let k = net.node_count();
-    if n > k {
-        return Err(MappingError::Infeasible(format!(
-            "{n} modules need {n} distinct nodes, network has {k}"
-        )));
-    }
-    if inst.src == inst.dst {
-        return Err(MappingError::Infeasible(
-            "source and destination coincide; a simple path of ≥ 2 nodes is impossible".into(),
-        ));
-    }
-    let words = k.div_ceil(64);
 
     // column 0: module 0 on src, zero cost (the source only transfers)
-    let mut root_mask = vec![0u64; words].into_boxed_slice();
-    root_mask[inst.src.index() / 64] |= 1 << (inst.src.index() % 64);
-    let mut columns: Vec<Vec<Vec<Label>>> = Vec::with_capacity(n);
-    let mut col0 = vec![Vec::new(); k];
-    col0[inst.src.index()].push(Label {
+    let empty = Label {
         bottleneck: 0.0,
-        mask: root_mask,
+        mask: vec![0u64; k.div_ceil(64)].into(),
         parent: None,
+    };
+    let mut columns = vec![vec![Vec::new(); k]];
+    columns[0][inst.src.index()].push(Label {
+        mask: empty.mask_with(inst.src.index()),
+        ..empty
     });
-    columns.push(col0);
 
     for j in 1..n {
-        let in_bytes = pipe.input_bytes(j);
         let work = pipe.compute_work(j);
-        let prev = &columns[j - 1];
-        let mut cur: Vec<Vec<Label>> = vec![Vec::new(); k];
-        for (eid, e) in net.graph().edges() {
-            let u = e.src.index();
-            if prev[u].is_empty() {
-                continue;
-            }
-            let v = e.dst.index();
+        let mut col = Column {
+            prev: &columns[j - 1],
+            compute: net.node_ids().map(|v| work / net.power(v)).collect(),
+            cells: vec![Vec::new(); k],
+            k_labels: config.k_labels,
+        };
+        moves(j, &mut col);
+        if j != n - 1 {
             // the destination may only host the final module
-            if e.dst == inst.dst && j != n - 1 {
-                continue;
-            }
-            let compute = work / net.power(e.dst);
-            let transfer = cost.edge_transfer_ms(net, eid, in_bytes);
-            for (idx, label) in prev[u].iter().enumerate() {
-                if label.mask_contains(v) {
-                    continue; // node reuse is disabled for streaming
-                }
-                let bottleneck = label.bottleneck.max(compute).max(transfer);
-                insert_label(
-                    &mut cur[v],
-                    Label {
-                        bottleneck,
-                        mask: label.mask_with(v),
-                        parent: Some((e.src, idx as u32)),
-                    },
-                    config.k_labels,
-                );
-            }
+            col.cells[inst.dst.index()].clear();
         }
-        columns.push(cur);
+        columns.push(col.cells);
     }
 
-    let final_labels = &columns[n - 1][inst.dst.index()];
-    let Some((best_idx, best)) = final_labels
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.bottleneck.partial_cmp(&b.1.bottleneck).expect("no NaN"))
-    else {
-        return Err(MappingError::Infeasible(format!(
-            "the heuristic found no simple {n}-node path from {} to {} \
-             (either none exists or the single-label DP missed it)",
-            inst.src, inst.dst
-        )));
+    // label sets are sorted, so the best final label is the first
+    let Some(best) = columns[n - 1][inst.dst.index()].first() else {
+        return Ok(None);
     };
-    let bottleneck = best.bottleneck;
-
     // reconstruct: walk parent pointers back through the columns
     let mut assignment = vec![inst.dst; n];
-    let mut cursor = (inst.dst, best_idx as u32);
+    let mut cursor = (inst.dst, 0);
     for j in (0..n).rev() {
         assignment[j] = cursor.0;
-        let label = &columns[j][cursor.0.index()][cursor.1 as usize];
-        match label.parent {
-            Some(p) => cursor = p,
-            None => debug_assert_eq!(j, 0, "only the root label lacks a parent"),
+        if let Some(p) = columns[j][cursor.0.index()][cursor.1 as usize].parent {
+            cursor = p;
         }
     }
     debug_assert_eq!(assignment[0], inst.src);
+    Ok(Some((assignment, best.bottleneck)))
+}
+
+/// Solves with the paper's single-label heuristic.
+pub fn solve(inst: &Instance<'_>, cost: &CostModel) -> Result<RateSolution> {
+    solve_with(inst, cost, RateConfig::default())
+}
+
+/// Solves with an explicit [`RateConfig`]. Moves are the network's links
+/// in edge-id order (ties go to the lowest edge id).
+pub fn solve_with(
+    inst: &Instance<'_>,
+    cost: &CostModel,
+    config: RateConfig,
+) -> Result<RateSolution> {
+    let net = inst.network;
+    let pipe = inst.pipeline;
+    let Some((assignment, bottleneck)) = solve_columns(inst, config, |j, col| {
+        let in_bytes = pipe.input_bytes(j);
+        for (eid, e) in net.graph().edges() {
+            if col.prev[e.src.index()].is_empty() {
+                continue;
+            }
+            let transfer = cost.edge_transfer_ms(net, eid, in_bytes);
+            col.offer(e.src.index(), e.dst.index(), transfer);
+        }
+    })?
+    else {
+        return Err(MappingError::Infeasible(format!(
+            "the heuristic found no simple {}-node path from {} to {} \
+             (either none exists or the single-label DP missed it)",
+            pipe.len(),
+            inst.src,
+            inst.dst
+        )));
+    };
 
     let mapping = Mapping::from_assignment(&assignment)?;
     debug_assert!(mapping.is_one_to_one(), "rate mappings never reuse nodes");
@@ -189,145 +223,53 @@ pub fn solve_with(
 /// ([`crate::routed::routed_bottleneck_ms`] with `require_distinct`).
 /// Like the strict DP it is a heuristic — the exact routed problem
 /// contains the NP-complete strict problem. `solve_routed` keeps the
-/// paper-style single label per cell; [`solve_routed_with`] widens it.
+/// paper-style single label per cell; [`solve_routed_with_ctx`] widens it.
 pub fn solve_routed(inst: &Instance<'_>, cost: &CostModel) -> Result<AssignmentSolution> {
-    solve_routed_with(inst, cost, RateConfig::default())
+    solve_routed_with_ctx(&SolveContext::new(*inst, *cost), RateConfig::default())
 }
 
-/// [`solve_routed`] with an explicit label-set width and a transient
-/// context (cold path).
-pub fn solve_routed_with(
-    inst: &Instance<'_>,
-    cost: &CostModel,
-    config: RateConfig,
-) -> Result<AssignmentSolution> {
-    solve_routed_with_ctx(&SolveContext::new(*inst, *cost), config)
-}
-
-/// The routed rate DP over a shared [`SolveContext`]: all routed transfer
-/// trees come from the context's metric closure, and the `O(k²)` per-stage
-/// label relax runs on [`SolveContext::warm_threads`] chunked column
-/// workers (each worker owns a contiguous block of destination cells, so
-/// results are bit-for-bit identical at any thread count; `threads == 1`
-/// spawns nothing).
+/// The routed rate DP over a shared [`SolveContext`]. Moves are
+/// source-major: for each host `u` holding labels, in ascending order, one
+/// [`SolveContext::routed_from`] query, then each other host `v` it
+/// reaches in ascending order, with transfer stage `d(u→v)`; ties go to
+/// the lowest source. On a [`SolveContext::with_threads`] context the trees
+/// are built in parallel once the instance passes the screens.
 pub fn solve_routed_with_ctx(
     ctx: &SolveContext<'_>,
     config: RateConfig,
 ) -> Result<AssignmentSolution> {
-    if config.k_labels == 0 {
-        return Err(MappingError::BadConfig(
-            "k_labels must be at least 1".into(),
-        ));
-    }
     let inst = ctx.instance();
-    let net = inst.network;
     let pipe = inst.pipeline;
-    let n = pipe.len();
-    let k = net.node_count();
-    if n > k {
-        return Err(MappingError::Infeasible(format!(
-            "{n} modules need {n} distinct hosts, network has {k}"
-        )));
-    }
-    if inst.src == inst.dst {
-        return Err(MappingError::Infeasible(
-            "source and destination coincide".into(),
-        ));
-    }
-
-    // parallel tree pre-build on contexts configured for it (lazy no-op
-    // otherwise); the label DP below then only reads the shared cache
-    ctx.warm_routed_dp();
-    // below the crossover size a per-stage scope spawn costs more than the
-    // whole O(k²) relax; the serial path computes identical cells
-    let threads = if k >= crate::context::MIN_PARALLEL_RELAX_NODES_RATE {
-        crate::context::effective_threads(ctx.warm_threads())
-    } else {
-        1
-    };
-    let words = k.div_ceil(64);
-    let mut root_mask = vec![0u64; words].into_boxed_slice();
-    root_mask[inst.src.index() / 64] |= 1 << (inst.src.index() % 64);
-    let mut columns: Vec<Vec<Vec<Label>>> = Vec::with_capacity(n);
-    let mut col0 = vec![Vec::new(); k];
-    col0[inst.src.index()].push(Label {
-        bottleneck: 0.0,
-        mask: root_mask,
-        parent: None,
-    });
-    columns.push(col0);
-
-    for j in 1..n {
+    let Some((assignment, bottleneck)) = solve_columns(inst, config, |j, col| {
+        if j == 1 {
+            // the screens passed: pre-build the trees on contexts
+            // configured for it (lazy no-op otherwise)
+            ctx.warm_routed_dp();
+        }
         let in_bytes = pipe.input_bytes(j);
-        let work = pipe.compute_work(j);
-        let prev = &columns[j - 1];
-        let mut cur: Vec<Vec<Label>> = vec![Vec::new(); k];
-        // per-source trees in ascending order (the queries the serial
-        // source-major loop used to make lazily)
-        let trees: Vec<Option<std::sync::Arc<elpc_netgraph::algo::ShortestPaths>>> = prev
-            .iter()
-            .enumerate()
-            .map(|(u, labels)| {
-                (!labels.is_empty()).then(|| ctx.routed_from(NodeId::from_index(u), in_bytes))
-            })
-            .collect();
-        // one destination cell: extend every predecessor label in ascending
-        // (source, label-index) order — each cell's label set is built from
-        // the same insertion sequence whichever chunk it lands in
-        crate::context::relax_columns_chunked(threads, &mut cur, |v, cell| {
-            let vid = NodeId::from_index(v);
-            if vid == inst.dst && j != n - 1 {
-                return; // the destination may only host the final module
+        let prev = col.prev;
+        for u in 0..prev.len() {
+            if prev[u].is_empty() {
+                continue;
             }
-            let compute = work / net.power(vid);
-            for (u, tree) in trees.iter().enumerate() {
-                let Some(tree) = tree else { continue };
-                if u == v || tree.dist[v].is_infinite() {
+            let tree = ctx.routed_from(NodeId::from_index(u), in_bytes);
+            for (v, &d) in tree.dist.iter().enumerate() {
+                if u == v || d.is_infinite() {
                     continue;
                 }
-                for (idx, label) in prev[u].iter().enumerate() {
-                    if label.mask_contains(v) {
-                        continue;
-                    }
-                    let bottleneck = label.bottleneck.max(compute).max(tree.dist[v]);
-                    insert_label(
-                        cell,
-                        Label {
-                            bottleneck,
-                            mask: label.mask_with(v),
-                            parent: Some((NodeId::from_index(u), idx as u32)),
-                        },
-                        config.k_labels,
-                    );
-                }
+                col.offer(u, v, d);
             }
-        });
-        columns.push(cur);
-    }
-
-    let final_labels = &columns[n - 1][inst.dst.index()];
-    let Some((best_idx, best)) = final_labels
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.bottleneck.partial_cmp(&b.1.bottleneck).expect("no NaN"))
+        }
+    })?
     else {
         return Err(MappingError::Infeasible(format!(
-            "no {n}-host routed placement found from {} to {}",
-            inst.src, inst.dst
+            "no {}-host routed placement found from {} to {}",
+            pipe.len(),
+            inst.src,
+            inst.dst
         )));
     };
-    let bottleneck = best.bottleneck;
-    let mut assignment = vec![inst.dst; n];
-    let mut cursor = (inst.dst, best_idx as u32);
-    for j in (0..n).rev() {
-        assignment[j] = cursor.0;
-        let label = &columns[j][cursor.0.index()][cursor.1 as usize];
-        match label.parent {
-            Some(p) => cursor = p,
-            None => debug_assert_eq!(j, 0),
-        }
-    }
-    debug_assert_eq!(assignment[0], inst.src);
+
     debug_assert!({
         let re = crate::routed::routed_bottleneck_ms_ctx(ctx, &assignment, true)?;
         (re - bottleneck).abs() <= 1e-6 * bottleneck.max(1.0)

@@ -151,11 +151,6 @@ impl EvalKernel {
         self.k
     }
 
-    /// Number of distinct boundary payload sizes (= transfer matrices).
-    pub fn payload_count(&self) -> usize {
-        self.transfer.len() / (self.k * self.k).max(1)
-    }
-
     /// Routed transfer time (ms) of boundary `j`'s payload from `a` to `b`:
     /// `0.0` when `a == b`, `f64::INFINITY` when unreachable. Identical to
     /// the closure's answer for the same query.

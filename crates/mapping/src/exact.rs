@@ -143,12 +143,7 @@ pub fn max_rate(
     let net = inst.network;
     let pipe = inst.pipeline;
     let n = pipe.len();
-    if n > net.node_count() {
-        return Err(MappingError::Infeasible(format!(
-            "{n} modules need {n} distinct nodes, network has {}",
-            net.node_count()
-        )));
-    }
+    inst.ensure_distinct_hosts_feasible()?;
     let mut best: Option<(f64, Vec<NodeId>)> = None;
     let mut enumerated = 0usize;
     let mut out_of_budget = false;

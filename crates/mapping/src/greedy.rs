@@ -92,16 +92,7 @@ pub fn solve_max_rate(inst: &Instance<'_>, cost: &CostModel) -> Result<RateSolut
     let pipe = inst.pipeline;
     let n = pipe.len();
     let k = net.node_count();
-    if n > k {
-        return Err(MappingError::Infeasible(format!(
-            "{n} modules need {n} distinct nodes, network has {k}"
-        )));
-    }
-    if inst.src == inst.dst {
-        return Err(MappingError::Infeasible(
-            "source and destination coincide".into(),
-        ));
-    }
+    inst.ensure_distinct_hosts_feasible()?;
     let hops_to_dst = hop_distances_rev(net.graph(), inst.dst);
 
     let mut used = vec![false; k];

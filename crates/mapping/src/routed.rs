@@ -375,16 +375,6 @@ pub fn polish_rate_assignment_ctx(
     Ok(current)
 }
 
-/// [`polish_rate_assignment_ctx`] with a transient context (cold path).
-pub fn polish_rate_assignment(
-    inst: &Instance<'_>,
-    cost: &CostModel,
-    assignment: &mut Vec<NodeId>,
-    max_sweeps: usize,
-) -> Result<f64> {
-    polish_rate_assignment_ctx(&SolveContext::new(*inst, *cost), assignment, max_sweeps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,13 +497,14 @@ mod tests {
         // heavy middle module starts on the weakest node
         let mut a = vec![ns[0], ns[1], ns[4]];
         let before = routed_bottleneck_ms(&inst, &cm, &a, true).unwrap();
-        let after = polish_rate_assignment(&inst, &cm, &mut a, 5).unwrap();
+        let ctx = SolveContext::new(inst, cm);
+        let after = polish_rate_assignment_ctx(&ctx, &mut a, 5).unwrap();
         assert!(after < before, "polish should fix the weak-node placement");
         assert_eq!(a[1], ns[2], "the strong node should host the heavy module");
         assert_eq!(a[0], ns[0]);
         assert_eq!(a[2], ns[4]);
         // idempotent at the local optimum
-        let again = polish_rate_assignment(&inst, &cm, &mut a.clone(), 5).unwrap();
+        let again = polish_rate_assignment_ctx(&ctx, &mut a.clone(), 5).unwrap();
         assert!((again - after).abs() < 1e-12);
     }
 

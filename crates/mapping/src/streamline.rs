@@ -55,19 +55,7 @@ pub fn solve_max_rate(inst: &Instance<'_>, cost: &CostModel) -> Result<Assignmen
 
 /// Streamline maximum frame rate over a shared [`SolveContext`].
 pub fn solve_max_rate_ctx(ctx: &SolveContext<'_>) -> Result<AssignmentSolution> {
-    let inst = ctx.instance();
-    if inst.n_modules() > inst.network.node_count() {
-        return Err(MappingError::Infeasible(format!(
-            "{} modules need distinct nodes, network has {}",
-            inst.n_modules(),
-            inst.network.node_count()
-        )));
-    }
-    if inst.src == inst.dst && inst.n_modules() >= 2 {
-        return Err(MappingError::Infeasible(
-            "source and destination coincide".into(),
-        ));
-    }
+    ctx.instance().ensure_distinct_hosts_feasible()?;
     let assignment = place(ctx, Mode::Rate)?;
     let objective_ms = routed_bottleneck_ms_ctx(ctx, &assignment, true)?;
     Ok(AssignmentSolution {

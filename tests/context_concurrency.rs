@@ -71,7 +71,7 @@ fn determinism_par_warm_thread_counts_are_bit_identical() {
 
 /// Every solver produces identical output on lazy-serial, serial-warm, and
 /// all-CPU-warm contexts, on ≥ 20 generated instances. For the routed DPs
-/// the thread count also drives the chunked column relax, and for the
+/// the thread count only decides when their trees are built, and for the
 /// metaheuristics it must not perturb the seeded search.
 #[test]
 fn determinism_solver_outputs_are_warm_up_invariant() {
@@ -112,12 +112,11 @@ fn determinism_solver_outputs_are_warm_up_invariant() {
     }
 }
 
-/// The chunked per-stage relax loops of the routed DPs: `threads = 1`
-/// (serial, no workers) and `threads = 0` (all CPUs, chunked columns)
-/// produce bit-for-bit identical DP outputs — objective *and* assignment —
-/// on instances large enough that every chunk boundary shape occurs. Node
-/// counts cover both parallel-relax crossover bands: ≥ 64 chunks both DPs,
-/// and the 30-node case chunks only the (heavier) rate DP.
+/// The routed DPs on `threads = 1` (lazy trees, no workers), `threads = 2`
+/// and `threads = 0` (all CPUs) contexts: the trees are pre-built in
+/// parallel on the last two, and the DP outputs — objective *and*
+/// assignment — must be bit-for-bit identical on every one, on 30- to
+/// 90-node instances.
 #[test]
 fn determinism_parallel_relax_is_bit_identical_to_serial() {
     for (seed, (m, n, l)) in [

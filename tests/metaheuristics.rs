@@ -28,8 +28,8 @@ fn metaheuristics_are_registered_with_the_expected_objectives() {
 }
 
 /// Same seed ⇒ identical mapping, across repeated runs and across context
-/// thread counts (the closure warm-up and the parallel relax loops must
-/// not leak into the search).
+/// thread counts (the parallel closure warm-up must not leak into the
+/// search).
 #[test]
 fn determinism_same_seed_same_mapping_across_runs_and_thread_counts() {
     let names = [
