@@ -237,8 +237,7 @@ fn bench_eval_kernel(c: &mut Criterion) {
         );
     }
     for objective in [Objective::MinDelay, Objective::MaxRate] {
-        let config = portfolio::PortfolioConfig::for_objective(objective);
-        let race = portfolio::solve_portfolio(&warm, objective, &config).expect("feasible");
+        let race = portfolio::solve_portfolio(&warm, objective).expect("feasible");
         eprintln!(
             "portfolio {objective:?} winner {} objective {:>10.3} ms",
             race.winner, race.solution.objective_ms

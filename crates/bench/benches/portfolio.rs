@@ -1,6 +1,6 @@
 //! The portfolio meta-solver bench: the concurrent slate race on one
-//! shared context vs its best single member solving cold, per-member
-//! attribution timings for the whole default delay slate, and tabu vs
+//! shared closure vs its best single member solving cold, per-member
+//! attribution timings for the whole delay slate, and tabu vs
 //! anneal/genetic at **equal move budgets** (5000 candidate evaluations
 //! each). The `BENCH_portfolio.json` artifact tracks all of it across
 //! commits.
@@ -24,21 +24,18 @@ fn bench_portfolio(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
 
-    // the race on a shared, already-warm context — serial and all-CPU
-    // workers produce identical results; only wall time differs
+    // the race on a shared, already-warm closure — serial and all-CPU
+    // workers produce identical results; only wall time differs. The
+    // worker count is the context's, so each gets a context over the one
+    // warm closure (its first race snapshots that context's eval kernel)
     let warm = SolveContext::new(inst, cost);
-    let config = portfolio::PortfolioConfig::for_objective(Objective::MinDelay);
-    let _ = portfolio::solve_portfolio(&warm, Objective::MinDelay, &config);
+    let _ = portfolio::solve_portfolio(&warm, Objective::MinDelay);
     for (label, threads) in [("shared_serial_t1", 1usize), ("shared_parallel_t0", 0usize)] {
-        let config = config.clone().threads(threads);
-        group.bench_with_input(BenchmarkId::new("race", label), &config, |b, config| {
-            b.iter(|| {
-                black_box(portfolio::solve_portfolio(
-                    &warm,
-                    Objective::MinDelay,
-                    config,
-                ))
-            })
+        let ctx = SolveContext::from_shared(inst, warm.closure_arc(), threads)
+            .expect("the warm closure covers this network");
+        let _ = portfolio::solve_portfolio(&ctx, Objective::MinDelay);
+        group.bench_with_input(BenchmarkId::new("race", label), &ctx, |b, ctx| {
+            b.iter(|| black_box(portfolio::solve_portfolio(ctx, Objective::MinDelay)))
         });
     }
 
@@ -52,18 +49,13 @@ fn bench_portfolio(c: &mut Criterion) {
         })
     });
     group.bench_function("race/portfolio_cold_t0", |b| {
-        let config = config.clone().threads(0);
         b.iter(|| {
-            let ctx = SolveContext::new(inst, cost);
-            black_box(portfolio::solve_portfolio(
-                &ctx,
-                Objective::MinDelay,
-                &config,
-            ))
+            let ctx = SolveContext::with_threads(inst, cost, 0);
+            black_box(portfolio::solve_portfolio(&ctx, Objective::MinDelay))
         })
     });
 
-    // per-member attribution: every default-slate member alone on the
+    // per-member attribution: every delay-slate member alone on the
     // warm context — the timing breakdown behind the race entries
     for name in portfolio::DELAY_SLATE {
         let s = solver(name).expect("registered");

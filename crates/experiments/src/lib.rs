@@ -16,7 +16,7 @@
 //! machine-readable artifacts under `results/`.
 
 use elpc_mapping::CostModel;
-use elpc_workloads::compare::{run_case_opts, CaseResult, CompareOptions};
+use elpc_workloads::compare::{run_case_opts, CaseResult};
 use elpc_workloads::{cases, sweep, ClosureBank};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -54,7 +54,7 @@ pub fn suite_results(reuse: bool) -> Vec<CaseResult> {
     let bank = ClosureBank::with_capacity(2);
     let rows = sweep::run_parallel(&specs, 0, |_, spec| {
         let inst = spec.generate().expect("suite cases generate cleanly");
-        let row = run_case_opts(&inst, &cost, CompareOptions::banked(&bank));
+        let row = run_case_opts(&inst, &cost, Some(&bank));
         eprintln!("  finished {}", row.label);
         row
     });

@@ -136,10 +136,8 @@ pub fn solve(inst: &Instance<'_>, cost: &CostModel) -> Result<DelaySolution> {
 
     let mapping = Mapping::from_assignment(&assignment)?;
     debug_assert!(
-        {
-            let check = cost.delay_ms(inst, &mapping)?;
-            (check - total).abs() <= 1e-6 * total.max(1.0)
-        },
+        cost.delay_ms(inst, &mapping)
+            .is_ok_and(|check| (check - total).abs() <= 1e-6 * total.max(1.0)),
         "DP objective must match Eq. 1 evaluation"
     );
     Ok(DelaySolution {
@@ -194,10 +192,16 @@ pub fn solve_routed_ctx(ctx: &SolveContext<'_>) -> Result<AssignmentSolution> {
         ))
     })?;
 
-    debug_assert!({
-        let re = crate::routed::routed_delay_ms_ctx(ctx, &assignment)?;
-        (re - total).abs() <= 1e-6 * total.max(1.0)
-    });
+    // re-evaluated on a transient context, so the check neither moves the
+    // shared closure's statistics nor turns into an error of its own
+    debug_assert!(
+        crate::routed::routed_delay_ms_ctx(
+            &SolveContext::new(*ctx.instance(), *ctx.cost()),
+            &assignment
+        )
+        .is_ok_and(|re| (re - total).abs() <= 1e-6 * total.max(1.0)),
+        "DP objective must match the routed evaluation"
+    );
     Ok(AssignmentSolution {
         assignment,
         objective_ms: total,

@@ -78,22 +78,40 @@ struct Column<'c> {
 impl Column<'_> {
     /// Offers every label of `prev[u]` a move to `v` whose transfer stage
     /// takes `transfer` ms, in label order; labels that already visited `v`
-    /// are skipped (node reuse is disabled for streaming).
+    /// are skipped (node reuse is disabled for streaming). `v`'s label set
+    /// stays sorted by ascending bottleneck and bounded by `k_labels`; a new
+    /// label goes after the labels of equal bottleneck, and one that would
+    /// land past the bound, or that duplicates a label (same bottleneck and
+    /// same visited set), is dropped — the bound is checked first, so a
+    /// dropped label never pays for its mask.
     #[inline]
     fn offer(&mut self, u: usize, v: usize, transfer: f64) {
+        let cell = &mut self.cells[v];
         for (idx, label) in self.prev[u].iter().enumerate() {
             if label.mask_contains(v) {
                 continue;
             }
-            insert_label(
-                &mut self.cells[v],
+            let bottleneck = label.bottleneck.max(self.compute[v]).max(transfer);
+            let pos = cell.partition_point(|l| l.bottleneck <= bottleneck);
+            if pos >= self.k_labels {
+                continue;
+            }
+            let mask = label.mask_with(v);
+            if cell
+                .iter()
+                .any(|l| l.bottleneck == bottleneck && l.mask == mask)
+            {
+                continue;
+            }
+            cell.insert(
+                pos,
                 Label {
-                    bottleneck: label.bottleneck.max(self.compute[v]).max(transfer),
-                    mask: label.mask_with(v),
+                    bottleneck,
+                    mask,
                     parent: Some((NodeId::from_index(u), idx as u32)),
                 },
-                self.k_labels,
             );
+            cell.truncate(self.k_labels);
         }
     }
 }
@@ -203,10 +221,11 @@ pub fn solve_with(
 
     let mapping = Mapping::from_assignment(&assignment)?;
     debug_assert!(mapping.is_one_to_one(), "rate mappings never reuse nodes");
-    debug_assert!({
-        let check = cost.bottleneck_ms(inst, &mapping)?;
-        (check - bottleneck).abs() <= 1e-6 * bottleneck.max(1.0)
-    });
+    debug_assert!(
+        cost.bottleneck_ms(inst, &mapping)
+            .is_ok_and(|check| (check - bottleneck).abs() <= 1e-6 * bottleneck.max(1.0)),
+        "DP objective must match Eq. 2 evaluation"
+    );
     Ok(RateSolution {
         mapping,
         bottleneck_ms: bottleneck,
@@ -270,10 +289,17 @@ pub fn solve_routed_with_ctx(
         )));
     };
 
-    debug_assert!({
-        let re = crate::routed::routed_bottleneck_ms_ctx(ctx, &assignment, true)?;
-        (re - bottleneck).abs() <= 1e-6 * bottleneck.max(1.0)
-    });
+    // re-evaluated on a transient context, so the check neither moves the
+    // shared closure's statistics nor turns into an error of its own
+    debug_assert!(
+        crate::routed::routed_bottleneck_ms_ctx(
+            &SolveContext::new(*ctx.instance(), *ctx.cost()),
+            &assignment,
+            true
+        )
+        .is_ok_and(|re| (re - bottleneck).abs() <= 1e-6 * bottleneck.max(1.0)),
+        "DP objective must match the routed evaluation"
+    );
     Ok(AssignmentSolution {
         assignment,
         objective_ms: bottleneck,
@@ -325,23 +351,6 @@ pub fn solve_routed_portfolio(ctx: &SolveContext<'_>) -> Result<AssignmentSoluti
         assignment: best,
         objective_ms,
     })
-}
-
-/// Inserts into a bounded, sorted (ascending bottleneck) label set,
-/// dropping exact duplicates (same bottleneck and same visited set).
-fn insert_label(labels: &mut Vec<Label>, label: Label, cap: usize) {
-    if labels
-        .iter()
-        .any(|l| l.bottleneck == label.bottleneck && l.mask == label.mask)
-    {
-        return;
-    }
-    let pos = labels.partition_point(|l| l.bottleneck <= label.bottleneck);
-    if pos >= cap {
-        return;
-    }
-    labels.insert(pos, label);
-    labels.truncate(cap);
 }
 
 #[cfg(test)]

@@ -102,7 +102,7 @@ pub use eval::{BoundedEval, DeltaEval, EvalKernel, MoveSpec};
 pub use lns::LnsConfig;
 pub use mapping::{AssignmentSolution, DelaySolution, Mapping, RateSolution};
 pub use metaheuristic::{AnnealConfig, GeneticConfig};
-pub use portfolio::{FannedMember, MemberReport, PortfolioConfig, PortfolioSolution};
+pub use portfolio::{MemberReport, PortfolioSolution};
 pub use solver::{registry, solver, solvers_for, Objective, Solution, Solver};
 pub use tabu::TabuConfig;
 

@@ -1,33 +1,17 @@
-//! The portfolio meta-solver: a slate of registry members — optionally
-//! fanned metaheuristic variants — racing on one shared context.
+//! The portfolio meta-solver: one fixed slate of registry members per
+//! objective, racing on one shared context.
 //!
 //! The registry makes every algorithm callable by name against a shared
 //! [`SolveContext`]; the portfolio turns that into a self-racing ensemble.
-//! [`solve_portfolio`] runs a configurable slate of registered solvers —
-//! concurrently on crossbeam scoped threads when the config asks for more
-//! than one worker — against **one** shared metric closure, then returns
-//! the best result with per-member timing/quality attribution.
-//!
-//! ## Fanned members (portfolio v2)
-//!
-//! Besides plain registry names, a slate can carry [`FannedMember`]s: one
-//! seeded metaheuristic (`lns_*`, `tabu_*`, `anneal_*`, `genetic_*`)
-//! expanded across `seeds × budgets` — every combination races as its own
-//! member with the family's default config reshaped to that
-//! candidate-evaluation budget. Fanned members always run *after* the
-//! named members in tie-break order (declaration order, seeds outer,
-//! budgets inner), labeled `base[seed=S,evals=B]` in the attribution.
-//!
-//! ## Early cancellation
-//!
-//! With [`PortfolioConfig::early_cancel`], the portfolio first computes
-//! the **routed lower bound** of the objective — `elpc_delay_routed`
-//! (provably optimal for the routed delay space) or
-//! [`crate::exact::max_rate_routed`] under its enumeration budget guard
-//! (no bound when the guard refuses) — and stops spending budget once any
-//! member matches it: a worker that picks up member `i` skips the solve
-//! when some member `j < i` has already matched the bound. Skipping never
-//! changes the answer, because no member can beat a lower bound.
+//! [`solve_portfolio`] runs [`DELAY_SLATE`] or [`RATE_SLATE`] — on the
+//! context's [`SolveContext::warm_threads`] workers, concurrently on
+//! crossbeam scoped threads when that is not `1` — against **one** shared
+//! metric closure, then returns the best result with per-member
+//! timing/quality attribution. A plain [`SolveContext::new`] context races
+//! the slate serially, a `with_threads(inst, cost, 0)` context races it on
+//! all CPUs. Because `elpc_delay_routed` — provably optimal for the routed
+//! delay space — leads the delay slate, `portfolio_delay` inherits its
+//! optimality while attributing how close every heuristic came.
 //!
 //! ## Determinism
 //!
@@ -40,40 +24,20 @@
 //! minimal objective wins — so the portfolio's solution is bit-identical
 //! whether the slate ran serially, on two threads, or on all CPUs.
 //!
-//! Early cancellation preserves this: the reported *cancel point* is the
-//! lowest member index whose (deterministic) value matches the bound, and
-//! every later member reports `cancelled` regardless of whether a worker
-//! happened to finish it first. A member can only be skipped at execution
-//! time when a strictly earlier member already matched, so every member at
-//! or before the cancel point always runs — the report vector, winner,
-//! and solution are functions of member values alone, never of timing.
-//!
-//! The registry entries (`portfolio_delay` / `portfolio_rate`) run the
-//! default slates below with the context's
-//! [`SolveContext::warm_threads`] as the worker count: a plain
-//! [`SolveContext::new`] context races the slate serially, a
-//! `with_threads(inst, cost, 0)` context races it on all CPUs. Because
-//! `elpc_delay_routed` — provably optimal for the routed delay space —
-//! leads the delay slate, `portfolio_delay` inherits its optimality while
-//! attributing how close every heuristic came.
-//!
 //! N members hammering one sharded closure is also the strongest
 //! concurrency stress in the workspace; `tests/context_concurrency.rs`
 //! pins that the `hits + misses == queries` statistics invariant and the
 //! closure contents survive it bit-for-bit.
 
 use crate::context::effective_threads;
-use crate::{
-    elpc_delay, exact, lns, metaheuristic, solver, tabu, MappingError, Objective, Result, Solution,
-    SolveContext, Solver,
-};
+use crate::{solver, MappingError, Objective, Result, Solution, SolveContext, Solver};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The default delay slate, in tie-break priority order. Leads with the
+/// The delay slate, in tie-break priority order. Leads with the
 /// routed-optimal DP, then the polynomial baselines, then the
 /// metaheuristics (the budgeted `exact_*` solvers are exponential and stay
-/// out of the default race).
+/// out of the race).
 pub const DELAY_SLATE: [&str; 6] = [
     "elpc_delay_routed",
     "streamline_delay",
@@ -83,7 +47,7 @@ pub const DELAY_SLATE: [&str; 6] = [
     "genetic_delay",
 ];
 
-/// The default rate slate, in tie-break priority order.
+/// The rate slate, in tie-break priority order.
 pub const RATE_SLATE: [&str; 6] = [
     "elpc_rate_routed",
     "streamline_rate",
@@ -93,302 +57,21 @@ pub const RATE_SLATE: [&str; 6] = [
     "genetic_rate",
 ];
 
-/// One metaheuristic fanned across seeds × budget tiers: every `(seed,
-/// budget)` combination races as its own slate member with the family's
-/// default config reshaped to that candidate-evaluation budget.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FannedMember {
-    /// Registry name of the metaheuristic to fan (`lns_*`, `tabu_*`,
-    /// `anneal_*`, or `genetic_*`; must optimize the portfolio's
-    /// objective).
-    pub base: &'static str,
-    /// RNG seeds, one member per seed (outer expansion order).
-    pub seeds: Vec<u64>,
-    /// Candidate-evaluation budgets, one member per tier per seed (inner
-    /// expansion order). Mapped onto each family's config shape: LNS uses
-    /// it directly; tabu divides by its neighborhood size; annealing by
-    /// its restart count; the GA by its population size.
-    pub budgets: Vec<usize>,
-}
-
-impl FannedMember {
-    /// Fans `base` across `seeds` at the family's default budget tier.
-    pub fn seeds(base: &'static str, seeds: Vec<u64>) -> Self {
-        FannedMember {
-            base,
-            seeds,
-            budgets: vec![5000],
-        }
-    }
-}
-
-/// Configuration of the portfolio meta-solver.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PortfolioConfig {
-    /// Registry names to race, in tie-break priority order (the earliest
-    /// member with the minimal objective wins). Members must all optimize
-    /// the portfolio's objective and may not themselves be portfolios.
-    pub members: Vec<&'static str>,
-    /// Fanned metaheuristic members, expanded `seeds × budgets` after the
-    /// named members in declaration order.
-    pub fanned: Vec<FannedMember>,
-    /// Stop spending budget once any member matches the routed lower
-    /// bound of the objective (see the module docs; the reported winner
-    /// and member values stay bit-identical at any worker count).
-    pub early_cancel: bool,
-    /// Worker threads: `0` = all CPUs, `1` = serial (the default).
-    pub threads: usize,
-}
-
-impl Default for PortfolioConfig {
-    fn default() -> Self {
-        PortfolioConfig {
-            members: Vec::new(),
-            fanned: Vec::new(),
-            early_cancel: false,
-            threads: 1,
-        }
-    }
-}
-
-impl PortfolioConfig {
-    /// The default slate for `objective`, serial.
-    pub fn for_objective(objective: Objective) -> Self {
-        let members = match objective {
-            Objective::MinDelay => DELAY_SLATE.to_vec(),
-            Objective::MaxRate => RATE_SLATE.to_vec(),
-        };
-        PortfolioConfig {
-            members,
-            ..Default::default()
-        }
-    }
-
-    /// Sets the worker-thread count (`0` = all CPUs).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Appends a fanned metaheuristic member.
-    pub fn fan(mut self, member: FannedMember) -> Self {
-        self.fanned.push(member);
-        self
-    }
-
-    /// Enables early cancellation at the routed lower bound.
-    pub fn early_cancel(mut self) -> Self {
-        self.early_cancel = true;
-        self
-    }
-
-    fn resolve(&self, objective: Objective) -> Result<Vec<SlateTask>> {
-        if self.members.is_empty() && self.fanned.is_empty() {
-            return Err(MappingError::BadConfig(
-                "portfolio slate must name at least one solver".into(),
-            ));
-        }
-        let mut tasks: Vec<SlateTask> = self
-            .members
-            .iter()
-            .map(|&name| {
-                if name.starts_with("portfolio") {
-                    return Err(MappingError::BadConfig(format!(
-                        "portfolio slates cannot nest portfolios (`{name}`)"
-                    )));
-                }
-                let s = solver(name).ok_or_else(|| {
-                    MappingError::BadConfig(format!("no solver named `{name}` in the registry"))
-                })?;
-                if s.objective() != objective {
-                    return Err(MappingError::BadConfig(format!(
-                        "slate member `{name}` optimizes {:?}, portfolio wants {objective:?}",
-                        s.objective()
-                    )));
-                }
-                Ok(SlateTask::Registered(s))
-            })
-            .collect::<Result<_>>()?;
-        for f in &self.fanned {
-            if !FANNABLE.iter().any(|p| f.base.starts_with(p)) {
-                return Err(MappingError::BadConfig(format!(
-                    "`{}` is not a fannable metaheuristic (expected an lns/tabu/anneal/genetic entry)",
-                    f.base
-                )));
-            }
-            let s = solver(f.base).ok_or_else(|| {
-                MappingError::BadConfig(format!("no solver named `{}` in the registry", f.base))
-            })?;
-            if s.objective() != objective {
-                return Err(MappingError::BadConfig(format!(
-                    "fanned member `{}` optimizes {:?}, portfolio wants {objective:?}",
-                    f.base,
-                    s.objective()
-                )));
-            }
-            if f.seeds.is_empty() || f.budgets.is_empty() {
-                return Err(MappingError::BadConfig(format!(
-                    "fanned member `{}` needs at least one seed and one budget tier",
-                    f.base
-                )));
-            }
-            if f.budgets.contains(&0) {
-                return Err(MappingError::BadConfig(format!(
-                    "fanned member `{}` has a zero budget tier",
-                    f.base
-                )));
-            }
-            for &seed in &f.seeds {
-                for &budget in &f.budgets {
-                    tasks.push(SlateTask::Fanned {
-                        label: format!("{}[seed={seed},evals={budget}]", f.base),
-                        base: f.base,
-                        seed,
-                        budget,
-                    });
-                }
-            }
-        }
-        Ok(tasks)
-    }
-}
-
-/// Metaheuristic families a [`FannedMember`] may fan (name prefixes).
-const FANNABLE: [&str; 4] = ["lns", "tabu", "anneal", "genetic"];
-
-/// One expanded slate entry: a registered solver, or one `(seed, budget)`
-/// variant of a fanned metaheuristic.
-enum SlateTask {
-    Registered(&'static dyn Solver),
-    Fanned {
-        label: String,
-        base: &'static str,
-        seed: u64,
-        budget: usize,
-    },
-}
-
-impl SlateTask {
-    fn label(&self) -> &str {
-        match self {
-            SlateTask::Registered(s) => s.name(),
-            SlateTask::Fanned { label, .. } => label,
-        }
-    }
-
-    fn uses_eval_kernel(&self) -> bool {
-        match self {
-            SlateTask::Registered(s) => s.uses_eval_kernel(),
-            SlateTask::Fanned { .. } => true,
-        }
-    }
-
-    /// Runs the task. Fanned variants reshape the family's default config
-    /// to the budget tier: LNS spends the budget directly; tabu keeps its
-    /// neighborhood width and scales iterations; annealing keeps its
-    /// restarts and scales iterations; the GA keeps its population and
-    /// scales generations.
-    fn solve(&self, ctx: &SolveContext<'_>) -> Result<Solution> {
-        let from_assignment = |a: crate::AssignmentSolution| Solution {
-            assignment: a.assignment,
-            objective_ms: a.objective_ms,
-            mapping: None,
-        };
-        match *self {
-            SlateTask::Registered(s) => s.solve(ctx),
-            SlateTask::Fanned {
-                base, seed, budget, ..
-            } => {
-                let objective = solver(base).expect("validated by resolve").objective();
-                if base.starts_with("lns") {
-                    lns::solve_lns(
-                        ctx,
-                        objective,
-                        &lns::LnsConfig {
-                            seed,
-                            budget,
-                            ..Default::default()
-                        },
-                    )
-                    .map(from_assignment)
-                } else if base.starts_with("tabu") {
-                    let d = tabu::TabuConfig::default();
-                    tabu::solve_tabu(
-                        ctx,
-                        objective,
-                        &tabu::TabuConfig {
-                            seed,
-                            iterations: (budget / d.neighborhood).max(1),
-                            ..d
-                        },
-                    )
-                    .map(from_assignment)
-                } else if base.starts_with("anneal") {
-                    let d = metaheuristic::AnnealConfig::default();
-                    metaheuristic::solve_anneal(
-                        ctx,
-                        objective,
-                        &metaheuristic::AnnealConfig {
-                            seed,
-                            iterations: (budget / d.restarts).max(1),
-                            ..d
-                        },
-                    )
-                    .map(from_assignment)
-                } else {
-                    let d = metaheuristic::GeneticConfig::default();
-                    metaheuristic::solve_genetic(
-                        ctx,
-                        objective,
-                        &metaheuristic::GeneticConfig {
-                            seed,
-                            generations: (budget / d.population).max(1),
-                            ..d
-                        },
-                    )
-                    .map(from_assignment)
-                }
-            }
-        }
-    }
-}
-
-/// The routed lower bound of `objective` on `ctx`: the routed-optimal
-/// delay DP, or the routed-exact rate enumeration under its budget guard.
-/// `None` when the bound itself is unavailable (infeasible instance or the
-/// enumeration guard refused) — then nothing cancels.
-fn routed_lower_bound(ctx: &SolveContext<'_>, objective: Objective) -> Option<f64> {
-    match objective {
-        Objective::MinDelay => elpc_delay::solve_routed_ctx(ctx)
-            .ok()
-            .map(|s| s.objective_ms),
-        Objective::MaxRate => exact::max_rate_routed(ctx, exact::ExactLimits::default())
-            .ok()
-            .map(|s| s.objective_ms),
-    }
-}
-
 /// One slate member's outcome: what it scored, how long it took, whether it
-/// won. The attribution record `workloads::compare` surfaces per case.
+/// won.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemberReport {
-    /// The member's registry name, or a fanned variant's
-    /// `base[seed=S,evals=B]` label.
+    /// The member's registry name.
     pub name: String,
     /// Objective in ms when the member solved.
     pub objective_ms: Option<f64>,
     /// The member's error when it failed.
     pub error: Option<MappingError>,
     /// Wall time the member's solve took (ms). Informational only — the
-    /// winner is chosen by objective value, never by speed. Zero for
-    /// cancelled members.
+    /// winner is chosen by objective value, never by speed.
     pub elapsed_ms: f64,
     /// True for the member whose solution the portfolio returned.
     pub won: bool,
-    /// True when early cancellation cut this member: an earlier member
-    /// already matched the routed lower bound, so this one's result is
-    /// not reported even if a worker happened to compute it.
-    pub cancelled: bool,
 }
 
 /// A portfolio run: the winning solution plus per-member attribution.
@@ -396,22 +79,20 @@ pub struct MemberReport {
 pub struct PortfolioSolution {
     /// The winning member's solution.
     pub solution: Solution,
-    /// The winning member's registry name (or fanned-variant label).
+    /// The winning member's registry name.
     pub winner: String,
     /// Every member's outcome, in slate order.
     pub members: Vec<MemberReport>,
 }
 
-/// Races `config.members` (plus fanned variants) on `ctx` and returns the
-/// best result.
+/// Races the `objective`'s slate on `ctx` and returns the best result.
 ///
 /// Members run concurrently on crossbeam scoped threads when
-/// `config.threads != 1` (`0` = all CPUs), all sharing `ctx`'s metric
+/// `ctx.warm_threads() != 1` (`0` = all CPUs), all sharing `ctx`'s metric
 /// closure, so the all-pairs transfer trees are built once for the whole
 /// slate. The winner is the member with the lowest `objective_ms`, ties
 /// broken by slate order; the result is therefore identical at every
-/// thread count (including under [`PortfolioConfig::early_cancel`] — see
-/// the module docs). When no member solves, the slate's errors collapse to
+/// thread count. When no member solves, the slate's errors collapse to
 /// one: [`MappingError::Infeasible`] when every member reported
 /// infeasibility, otherwise the first non-infeasibility error in slate
 /// order.
@@ -430,171 +111,112 @@ pub struct PortfolioSolution {
 /// # let pipeline = elpc_pipeline::Pipeline::from_stages(1e6, &[(2.0, 1e5)], 1.0).unwrap();
 /// let inst = Instance::new(&network, &pipeline, s, d).unwrap();
 /// let ctx = SolveContext::new(inst, CostModel::default());
-/// let config = portfolio::PortfolioConfig::for_objective(Objective::MinDelay);
-/// let race = portfolio::solve_portfolio(&ctx, Objective::MinDelay, &config).unwrap();
+/// let race = portfolio::solve_portfolio(&ctx, Objective::MinDelay).unwrap();
 /// // the routed-optimal DP leads the slate, so it wins every tie
 /// assert_eq!(race.winner, "elpc_delay_routed");
 /// assert_eq!(race.members.len(), portfolio::DELAY_SLATE.len());
 /// assert!(race.members.iter().all(|m| m.objective_ms.unwrap() >= race.solution.objective_ms));
 /// ```
-pub fn solve_portfolio(
-    ctx: &SolveContext<'_>,
-    objective: Objective,
-    config: &PortfolioConfig,
-) -> Result<PortfolioSolution> {
-    let tasks = config.resolve(objective)?;
+pub fn solve_portfolio(ctx: &SolveContext<'_>, objective: Objective) -> Result<PortfolioSolution> {
+    let names = match objective {
+        Objective::MinDelay => DELAY_SLATE,
+        Objective::MaxRate => RATE_SLATE,
+    };
+    let members: Vec<&'static dyn Solver> = names
+        .iter()
+        .map(|&name| solver(name).expect("slate members are registered"))
+        .collect();
+    race(ctx, &members)
+}
+
+/// One member's raw outcome: the solve result and its wall time in ms.
+type TimedOutcome = (Result<Solution>, f64);
+
+/// Races `members` on `ctx`: runs each once — serially when
+/// `ctx.warm_threads()` resolves to one worker, otherwise work-pulled onto
+/// scoped worker threads all sharing `ctx` — then picks the winner by
+/// value, ties by slate order, and collapses the errors when nothing
+/// solved.
+fn race(ctx: &SolveContext<'_>, members: &[&'static dyn Solver]) -> Result<PortfolioSolution> {
     // when kernel-backed local-search members are racing, snapshot the
     // dense evaluation kernel once up front (parallelized by the context's
     // warm threads) instead of letting the first such member build it
     // mid-race — results are identical either way, only the build is
     // hoisted out of that member's attribution timing
-    if tasks.iter().any(|t| t.uses_eval_kernel()) {
+    if members.iter().any(|s| s.uses_eval_kernel()) {
         ctx.eval_kernel();
     }
-    let bound = if config.early_cancel {
-        routed_lower_bound(ctx, objective)
-    } else {
-        None
+    let timed_solve = |i: usize| -> TimedOutcome {
+        let start = std::time::Instant::now();
+        let result = members[i].solve(ctx);
+        (result, start.elapsed().as_secs_f64() * 1e3)
     };
-    let outcomes = race(ctx, &tasks, config.threads, bound);
-
-    // the cancel point: the lowest member index whose value matched the
-    // bound. Deterministic because a member can only be *skipped* when a
-    // strictly earlier member matched, so every member at or before the
-    // first match always ran (see the module docs).
-    let first_match = bound.and_then(|b| {
-        outcomes.iter().enumerate().find_map(|(i, o)| match o {
-            Some((Ok(sol), _)) if sol.objective_ms <= b => Some(i),
-            _ => None,
+    let threads = effective_threads(ctx.warm_threads()).min(members.len());
+    let outcomes: Vec<TimedOutcome> = if threads <= 1 {
+        (0..members.len()).map(timed_solve).collect()
+    } else {
+        let next = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<TimedOutcome>>> =
+            members.iter().map(|_| Mutex::new(None)).collect();
+        crossbeam::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|_| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= members.len() {
+                        break;
+                    }
+                    *slots[i].lock() = Some(timed_solve(i));
+                });
+            }
         })
-    });
-    let cancelled = |i: usize| first_match.is_some_and(|fm| i > fm);
+        .expect("portfolio members must not panic");
+        slots
+            .into_iter()
+            .map(|m| m.into_inner().expect("every slate slot is filled"))
+            .collect()
+    };
 
     // winner by value, ties by slate order — finish order never enters
     let mut winner: Option<(usize, f64)> = None;
-    for (i, outcome) in outcomes.iter().enumerate() {
-        if cancelled(i) {
-            continue;
-        }
-        if let Some((Ok(sol), _)) = outcome {
+    for (i, (result, _)) in outcomes.iter().enumerate() {
+        if let Ok(sol) = result {
             if winner.is_none_or(|(_, best)| sol.objective_ms < best) {
                 winner = Some((i, sol.objective_ms));
             }
         }
     }
-
     let Some((win_idx, _)) = winner else {
-        // no winner means no Ok outcome at all: nothing matched the bound
-        // (so nothing was cancelled or skipped) and every member errored
         let mut first_error: Option<MappingError> = None;
-        for outcome in outcomes {
-            match outcome.expect("without a bound match, every member runs") {
-                (Err(e @ MappingError::Infeasible(_)), _) => {
+        for (result, _) in outcomes {
+            match result {
+                Err(e @ MappingError::Infeasible(_)) => {
                     first_error.get_or_insert(e);
                 }
-                (Err(e), _) => return Err(e),
-                (Ok(_), _) => unreachable!("no winner means no Ok outcome"),
+                Err(e) => return Err(e),
+                Ok(_) => unreachable!("no winner means no Ok outcome"),
             }
         }
         return Err(first_error.expect("slate is non-empty"));
     };
 
-    let members: Vec<MemberReport> = tasks
+    let reports: Vec<MemberReport> = members
         .iter()
         .zip(&outcomes)
         .enumerate()
-        .map(|(i, (t, outcome))| {
-            if cancelled(i) {
-                return MemberReport {
-                    name: t.label().to_string(),
-                    objective_ms: None,
-                    error: None,
-                    elapsed_ms: 0.0,
-                    won: false,
-                    cancelled: true,
-                };
-            }
-            let (result, elapsed_ms) = outcome
-                .as_ref()
-                .expect("members at or before the cancel point always run");
-            MemberReport {
-                name: t.label().to_string(),
-                objective_ms: result.as_ref().ok().map(|sol| sol.objective_ms),
-                error: result.as_ref().err().cloned(),
-                elapsed_ms: *elapsed_ms,
-                won: i == win_idx,
-                cancelled: false,
-            }
+        .map(|(i, (s, (result, elapsed_ms)))| MemberReport {
+            name: s.name().to_string(),
+            objective_ms: result.as_ref().ok().map(|sol| sol.objective_ms),
+            error: result.as_ref().err().cloned(),
+            elapsed_ms: *elapsed_ms,
+            won: i == win_idx,
         })
         .collect();
-    let winner_name = tasks[win_idx].label().to_string();
-    let (result, _) = outcomes
-        .into_iter()
-        .nth(win_idx)
-        .expect("winner index")
-        .expect("the winner ran");
+    let (result, _) = outcomes.into_iter().nth(win_idx).expect("winner index");
     Ok(PortfolioSolution {
         solution: result.expect("winner solved"),
-        winner: winner_name,
-        members,
+        winner: members[win_idx].name().to_string(),
+        members: reports,
     })
-}
-
-/// One member's raw outcome: the solve result and its wall time in ms.
-/// `None` when early cancellation skipped the member before it ran.
-type TimedOutcome = (Result<Solution>, f64);
-
-/// Runs every slate task once, returning `Some((result, elapsed_ms))` in
-/// slate order — serially when `threads <= 1`, otherwise work-pulled onto
-/// scoped worker threads all sharing `ctx`. With a `bound`, a worker
-/// skips task `i` (yielding `None`) when some task `j < i` already
-/// matched the bound; matching tasks publish their index through a
-/// `fetch_min`, so the skip set is always consistent with the
-/// deterministic cancel point the caller recomputes from values.
-fn race(
-    ctx: &SolveContext<'_>,
-    tasks: &[SlateTask],
-    threads: usize,
-    bound: Option<f64>,
-) -> Vec<Option<TimedOutcome>> {
-    let cancel_from = AtomicUsize::new(usize::MAX);
-    let timed_solve = |i: usize| -> Option<TimedOutcome> {
-        if cancel_from.load(Ordering::SeqCst) < i {
-            return None;
-        }
-        let start = std::time::Instant::now();
-        let result = tasks[i].solve(ctx);
-        let elapsed = start.elapsed().as_secs_f64() * 1e3;
-        if let (Some(b), Ok(sol)) = (bound, &result) {
-            if sol.objective_ms <= b {
-                cancel_from.fetch_min(i, Ordering::SeqCst);
-            }
-        }
-        Some((result, elapsed))
-    };
-    let threads = effective_threads(threads).min(tasks.len());
-    if threads <= 1 {
-        return (0..tasks.len()).map(timed_solve).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Option<TimedOutcome>>>> =
-        tasks.iter().map(|_| Mutex::new(None)).collect();
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= tasks.len() {
-                    break;
-                }
-                *slots[i].lock() = Some(timed_solve(i));
-            });
-        }
-    })
-    .expect("portfolio members must not panic");
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("every slate slot is filled"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -613,12 +235,17 @@ mod tests {
         let net = k5();
         let pipe = pipe4();
         let inst = Instance::new(&net, &pipe, NodeId(0), NodeId(4)).unwrap();
-        let ctx = SolveContext::new(inst, cost());
+        let race_on = |threads: usize, objective: Objective| {
+            solve_portfolio(
+                &SolveContext::with_threads(inst, cost(), threads),
+                objective,
+            )
+            .unwrap()
+        };
         for objective in [Objective::MinDelay, Objective::MaxRate] {
-            let base = PortfolioConfig::for_objective(objective);
-            let serial = solve_portfolio(&ctx, objective, &base.clone().threads(1)).unwrap();
-            let two = solve_portfolio(&ctx, objective, &base.clone().threads(2)).unwrap();
-            let all = solve_portfolio(&ctx, objective, &base.threads(0)).unwrap();
+            let serial = race_on(1, objective);
+            let two = race_on(2, objective);
+            let all = race_on(0, objective);
             for other in [&two, &all] {
                 assert_eq!(serial.winner, other.winner);
                 assert_eq!(serial.solution.assignment, other.solution.assignment);
@@ -631,114 +258,8 @@ mod tests {
                     assert_eq!(a.objective_ms, b.objective_ms);
                     assert_eq!(a.error, b.error);
                     assert_eq!(a.won, b.won);
-                    assert_eq!(a.cancelled, b.cancelled);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn fanned_early_cancel_race_is_thread_count_invariant() {
-        let net = k5();
-        let pipe = pipe4();
-        let inst = Instance::new(&net, &pipe, NodeId(0), NodeId(4)).unwrap();
-        let ctx = SolveContext::new(inst, cost());
-        for objective in [Objective::MinDelay, Objective::MaxRate] {
-            let base_name = match objective {
-                Objective::MinDelay => "lns_delay",
-                Objective::MaxRate => "lns_rate",
-            };
-            let base = PortfolioConfig::for_objective(objective)
-                .fan(FannedMember {
-                    base: base_name,
-                    seeds: vec![1, 2, 3],
-                    budgets: vec![500, 5000],
-                })
-                .early_cancel();
-            let serial = solve_portfolio(&ctx, objective, &base.clone().threads(1)).unwrap();
-            let all = solve_portfolio(&ctx, objective, &base.threads(0)).unwrap();
-            assert_eq!(serial.members.len(), 6 + 3 * 2);
-            assert_eq!(serial.winner, all.winner);
-            assert_eq!(serial.solution.assignment, all.solution.assignment);
-            assert_eq!(
-                serial.solution.objective_ms.to_bits(),
-                all.solution.objective_ms.to_bits()
-            );
-            for (a, b) in serial.members.iter().zip(&all.members) {
-                assert_eq!(a.name, b.name);
-                assert_eq!(a.objective_ms, b.objective_ms);
-                assert_eq!(a.error, b.error);
-                assert_eq!(a.won, b.won);
-                assert_eq!(a.cancelled, b.cancelled);
-            }
-        }
-    }
-
-    #[test]
-    fn early_cancel_reports_everything_after_the_bound_match() {
-        let net = k5();
-        let pipe = pipe4();
-        let inst = Instance::new(&net, &pipe, NodeId(0), NodeId(4)).unwrap();
-        let ctx = SolveContext::new(inst, cost());
-        // the routed-optimal DP leads the slate and always matches the
-        // delay bound, so every later member must report cancelled
-        let race = solve_portfolio(
-            &ctx,
-            Objective::MinDelay,
-            &PortfolioConfig::for_objective(Objective::MinDelay).early_cancel(),
-        )
-        .unwrap();
-        assert_eq!(race.winner, "elpc_delay_routed");
-        assert!(race.members[0].won && !race.members[0].cancelled);
-        for m in &race.members[1..] {
-            assert!(m.cancelled, "{} should be cancelled", m.name);
-            assert_eq!(m.objective_ms, None);
-            assert_eq!(m.error, None);
-            assert!(!m.won);
-        }
-        // the winning value is still the routed optimum
-        let exact = elpc_delay::solve_routed_ctx(&ctx).unwrap();
-        assert_eq!(
-            race.solution.objective_ms.to_bits(),
-            exact.objective_ms.to_bits()
-        );
-    }
-
-    #[test]
-    fn fanned_members_expand_seeds_by_budgets_in_order() {
-        let net = k5();
-        let pipe = pipe4();
-        let inst = Instance::new(&net, &pipe, NodeId(0), NodeId(4)).unwrap();
-        let ctx = SolveContext::new(inst, cost());
-        let race = solve_portfolio(
-            &ctx,
-            Objective::MinDelay,
-            &PortfolioConfig {
-                members: vec!["greedy_delay"],
-                fanned: vec![FannedMember {
-                    base: "lns_delay",
-                    seeds: vec![7, 8],
-                    budgets: vec![100, 1000],
-                }],
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let names: Vec<&str> = race.members.iter().map(|m| m.name.as_str()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "greedy_delay",
-                "lns_delay[seed=7,evals=100]",
-                "lns_delay[seed=7,evals=1000]",
-                "lns_delay[seed=8,evals=100]",
-                "lns_delay[seed=8,evals=1000]",
-            ]
-        );
-        // every fanned variant solved and none beat the winner
-        for m in &race.members {
-            let ms = m.objective_ms.expect("k5 is feasible for everything");
-            assert!(race.solution.objective_ms <= ms + 1e-12);
         }
     }
 
@@ -747,14 +268,9 @@ mod tests {
         let net = k5();
         let pipe = pipe4();
         let inst = Instance::new(&net, &pipe, NodeId(0), NodeId(4)).unwrap();
-        let ctx = SolveContext::new(inst, cost());
+        let ctx = SolveContext::with_threads(inst, cost(), 0);
         for objective in [Objective::MinDelay, Objective::MaxRate] {
-            let race = solve_portfolio(
-                &ctx,
-                objective,
-                &PortfolioConfig::for_objective(objective).threads(0),
-            )
-            .unwrap();
+            let race = solve_portfolio(&ctx, objective).unwrap();
             assert_eq!(race.members.iter().filter(|m| m.won).count(), 1);
             for m in &race.members {
                 if let Some(ms) = m.objective_ms {
@@ -775,78 +291,28 @@ mod tests {
         let net = k5();
         let pipe = pipe4();
         let inst = Instance::new(&net, &pipe, NodeId(0), NodeId(4)).unwrap();
-        let ctx = SolveContext::new(inst, cost());
+        let ctx = SolveContext::with_threads(inst, cost(), 0);
         // the same solver twice: identical values, the first listing wins
-        let race = solve_portfolio(
-            &ctx,
-            Objective::MinDelay,
-            &PortfolioConfig {
-                members: vec!["greedy_delay", "greedy_delay"],
-                threads: 0,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let greedy = solver("greedy_delay").unwrap();
+        let race = race(&ctx, &[greedy, greedy]).unwrap();
         assert!(race.members[0].won && !race.members[1].won);
     }
 
     #[test]
-    fn bad_slates_are_rejected() {
-        let net = k5();
-        let pipe = pipe4();
-        let inst = Instance::new(&net, &pipe, NodeId(0), NodeId(4)).unwrap();
-        let ctx = SolveContext::new(inst, cost());
-        for members in [
-            vec![],
-            vec!["no_such_solver"],
-            vec!["elpc_rate_routed"], // wrong objective
-            vec!["portfolio_delay"],  // no nesting
+    fn slates_are_registered_single_objective_and_flat() {
+        for (objective, names) in [
+            (Objective::MinDelay, DELAY_SLATE),
+            (Objective::MaxRate, RATE_SLATE),
         ] {
-            assert!(matches!(
-                solve_portfolio(
-                    &ctx,
-                    Objective::MinDelay,
-                    &PortfolioConfig {
-                        members,
-                        ..Default::default()
-                    }
-                ),
-                Err(MappingError::BadConfig(_))
-            ));
-        }
-        for fanned in [
-            FannedMember {
-                base: "greedy_delay", // not a metaheuristic
-                seeds: vec![1],
-                budgets: vec![100],
-            },
-            FannedMember {
-                base: "lns_rate", // wrong objective
-                seeds: vec![1],
-                budgets: vec![100],
-            },
-            FannedMember {
-                base: "lns_delay",
-                seeds: vec![], // no seeds
-                budgets: vec![100],
-            },
-            FannedMember {
-                base: "lns_delay",
-                seeds: vec![1],
-                budgets: vec![0], // zero budget tier
-            },
-        ] {
-            assert!(matches!(
-                solve_portfolio(
-                    &ctx,
-                    Objective::MinDelay,
-                    &PortfolioConfig {
-                        fanned: vec![fanned],
-                        ..Default::default()
-                    }
-                ),
-                Err(MappingError::BadConfig(_))
-            ));
+            for name in names {
+                let s = solver(name).unwrap_or_else(|| panic!("`{name}` is not registered"));
+                assert_eq!(
+                    s.objective(),
+                    objective,
+                    "`{name}` optimizes the wrong objective"
+                );
+                assert!(!name.starts_with("portfolio"), "`{name}` nests a portfolio");
+            }
         }
     }
 
@@ -857,16 +323,9 @@ mod tests {
         let pipe = Pipeline::from_stages(1e5, &[(1.0, 1e4); 4], 1.0).unwrap();
         let inst = Instance::new(&net, &pipe, NodeId(0), NodeId(4)).unwrap();
         let ctx = SolveContext::new(inst, cost());
-        for config in [
-            PortfolioConfig::for_objective(Objective::MaxRate),
-            // the bound is unavailable on an infeasible instance, so the
-            // early-cancel path must collapse errors identically
-            PortfolioConfig::for_objective(Objective::MaxRate).early_cancel(),
-        ] {
-            assert!(matches!(
-                solve_portfolio(&ctx, Objective::MaxRate, &config),
-                Err(MappingError::Infeasible(_))
-            ));
-        }
+        assert!(matches!(
+            solve_portfolio(&ctx, Objective::MaxRate),
+            Err(MappingError::Infeasible(_))
+        ));
     }
 }

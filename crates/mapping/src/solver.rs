@@ -36,7 +36,7 @@
 //! [`crate::tabu`], and [`crate::lns`]) are seeded and fully deterministic;
 //! `workloads::compare` reports their *quality gap* against the exact
 //! solver of the same semantics. The portfolio entries (see
-//! [`crate::portfolio`]) race the default slates on the context's
+//! [`crate::portfolio`]) race the fixed slates on the context's
 //! configured thread count and pick the winner by value with a fixed
 //! tie-break order, so they too are deterministic at any thread count.
 //!
@@ -396,15 +396,7 @@ declare_solver!(
     "portfolio_delay",
     Objective::MinDelay,
     false,
-    |ctx| {
-        portfolio::solve_portfolio(
-            ctx,
-            Objective::MinDelay,
-            &portfolio::PortfolioConfig::for_objective(Objective::MinDelay)
-                .threads(ctx.warm_threads()),
-        )
-        .map(|race| race.solution)
-    }
+    |ctx| portfolio::solve_portfolio(ctx, Objective::MinDelay).map(|race| race.solution)
 );
 
 declare_solver!(
@@ -412,15 +404,7 @@ declare_solver!(
     "portfolio_rate",
     Objective::MaxRate,
     false,
-    |ctx| {
-        portfolio::solve_portfolio(
-            ctx,
-            Objective::MaxRate,
-            &portfolio::PortfolioConfig::for_objective(Objective::MaxRate)
-                .threads(ctx.warm_threads()),
-        )
-        .map(|race| race.solution)
-    }
+    |ctx| portfolio::solve_portfolio(ctx, Objective::MaxRate).map(|race| race.solution)
 );
 
 static REGISTRY: [&dyn Solver; 20] = [

@@ -274,13 +274,10 @@ proptest! {
                 prop_assert!(p.objective_ms <= g + 1e-9 * g.max(1.0),
                     "{name} {} worse than greedy {}", p.objective_ms, g);
             }
-            // a race with an explicit config agrees with the registry entry
+            // a direct race agrees with the registry entry
             if let Ok(p) = &serial {
-                let race = portfolio::solve_portfolio(
-                    &SolveContext::new(inst, cm),
-                    objective,
-                    &portfolio::PortfolioConfig::for_objective(objective),
-                ).unwrap();
+                let race = portfolio::solve_portfolio(&SolveContext::new(inst, cm), objective)
+                    .unwrap();
                 prop_assert_eq!(race.solution.objective_ms.to_bits(), p.objective_ms.to_bits());
                 prop_assert_eq!(&race.solution.assignment, &p.assignment);
             }

@@ -7,7 +7,6 @@
 mod bfs;
 mod dijkstra;
 mod paths;
-mod widest;
 
 pub use bfs::{hop_distances, hop_distances_rev, is_connected, reachable_count};
 pub use dijkstra::{dijkstra, extract_path, ShortestPaths, TreeEdges};
@@ -15,4 +14,3 @@ pub use paths::{
     all_simple_paths_exact_nodes, count_simple_paths_exact_nodes, for_each_simple_path_exact_nodes,
     PathVisit,
 };
-pub use widest::{widest_paths, WidestPaths};

@@ -7,9 +7,9 @@
 //! * [`Graph`] — an adjacency-list directed multigraph generic over node and
 //!   edge payloads, with helpers for the undirected (symmetric-link) networks
 //!   the paper uses.
-//! * [`algo`] — breadth-first hop distances, Dijkstra shortest paths, widest
-//!   (maximum-bottleneck) paths, and exact-hop simple-path enumeration. The
-//!   last of these is the exact counterpart of the paper's NP-complete
+//! * [`algo`] — breadth-first hop distances, Dijkstra shortest paths, and
+//!   exact-hop simple-path enumeration. The last of these is the exact
+//!   counterpart of the paper's NP-complete
 //!   "exact n-hop widest path" problem (§3.1.2) and is used to measure the
 //!   ELPC-rate heuristic's optimality gap.
 //! * [`csr`] — flat compressed-sparse-row snapshots of a built graph plus
@@ -31,8 +31,8 @@
 //!   differ by exactly one, so either direction can be recovered in O(1).
 //! * BFS hop distances lower-bound every simple path length, which the
 //!   exact-hop enumerator relies on for pruning.
-//! * Dijkstra and widest-path results agree with exhaustive enumeration on
-//!   small graphs (property-tested).
+//! * Dijkstra results agree with exhaustive enumeration on small graphs
+//!   (property-tested).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

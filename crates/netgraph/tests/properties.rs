@@ -5,7 +5,6 @@
 
 use elpc_netgraph::algo::{
     count_simple_paths_exact_nodes, dijkstra, extract_path, hop_distances, hop_distances_rev,
-    widest_paths,
 };
 use elpc_netgraph::gen::{self, Topology};
 use elpc_netgraph::{Graph, NodeId};
@@ -83,30 +82,6 @@ proptest! {
                 }
                 prop_assert!(cost <= sp.dist[v.index()] + 1e-9);
             }
-        }
-    }
-
-    #[test]
-    fn widest_path_width_upper_bounds_every_exact_hop_path((n, links, seed) in topo_params()) {
-        let g = build(n, links, seed);
-        let (s, t) = (NodeId(0), NodeId((n as u32) - 1));
-        let wp = widest_paths(&g, s, |_, e| e.payload);
-        let bound = wp.width[t.index()];
-        // every simple path's bottleneck is <= the unconstrained widest width
-        for k in 2..=n.min(6) {
-            elpc_netgraph::algo::for_each_simple_path_exact_nodes(&g, s, t, k, |p| {
-                let mut bottleneck = f64::INFINITY;
-                for w in p.windows(2) {
-                    let best = g
-                        .neighbors(w[0])
-                        .filter(|nb| nb.node == w[1])
-                        .map(|nb| g.edge(nb.edge).unwrap().payload)
-                        .fold(0.0, f64::max);
-                    bottleneck = bottleneck.min(best);
-                }
-                assert!(bottleneck <= bound + 1e-9);
-                elpc_netgraph::algo::PathVisit::Continue
-            });
         }
     }
 

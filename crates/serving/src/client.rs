@@ -402,23 +402,6 @@ impl Client {
         }
     }
 
-    /// Liveness probe with retries: waits out a daemon restart under
-    /// `policy`. Useful to block until a (re)spawned daemon is up.
-    pub fn ping_with_retry(&mut self, policy: &RetryPolicy) -> Result<(), ClientError> {
-        let mut attempt = 0u32;
-        loop {
-            match self.ping() {
-                Ok(()) => return Ok(()),
-                Err(e) if e.is_transient() && attempt + 1 < policy.max_attempts.max(1) => {
-                    let wait = policy.backoff_ms(attempt, e.retry_after_ms());
-                    std::thread::sleep(Duration::from_millis(wait));
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
     /// Runs a remap on the daemon and returns its reply. Socket timeouts
     /// are derived from the request's own deadline.
     ///

@@ -9,7 +9,7 @@
 
 use elpc::mapping::{solver, CostModel, MetricClosure, NodeId, SolveContext};
 use elpc::netgraph::algo::dijkstra;
-use elpc::workloads::compare::{run_case, run_case_opts, run_cases, CompareOptions};
+use elpc::workloads::compare::{run_case, run_case_opts, run_cases};
 use elpc::workloads::{cases, ClosureBank, InstanceSpec, ProblemInstance};
 
 fn cost() -> CostModel {
@@ -248,7 +248,7 @@ fn concurrent_stress_keeps_stats_exact_and_entries_correct() {
 /// * every closure entry the stress built equals a fresh serial Dijkstra.
 #[test]
 fn concurrent_portfolio_races_keep_stats_exact_and_closure_correct() {
-    use elpc::mapping::portfolio::{solve_portfolio, PortfolioConfig};
+    use elpc::mapping::portfolio::solve_portfolio;
     use elpc::mapping::Objective;
 
     let owned = InstanceSpec::sized(6, 14, 40).generate(2024).unwrap();
@@ -256,39 +256,18 @@ fn concurrent_portfolio_races_keep_stats_exact_and_closure_correct() {
 
     // serial reference: both slates, one at a time, on a fresh context
     let serial_ctx = SolveContext::new(inst, cost());
-    let serial_delay = solve_portfolio(
-        &serial_ctx,
-        Objective::MinDelay,
-        &PortfolioConfig::for_objective(Objective::MinDelay),
-    )
-    .expect("delay slate solves");
-    let serial_rate = solve_portfolio(
-        &serial_ctx,
-        Objective::MaxRate,
-        &PortfolioConfig::for_objective(Objective::MaxRate),
-    )
-    .expect("rate slate solves");
+    let serial_delay =
+        solve_portfolio(&serial_ctx, Objective::MinDelay).expect("delay slate solves");
+    let serial_rate = solve_portfolio(&serial_ctx, Objective::MaxRate).expect("rate slate solves");
     let serial_stats = serial_ctx.closure().stats();
 
     // concurrent: one shared context, both races at once, slates on all CPUs
-    let ctx = SolveContext::new(inst, cost());
+    let ctx = SolveContext::with_threads(inst, cost(), 0);
     let (delay, rate) = std::thread::scope(|scope| {
-        let d = scope.spawn(|| {
-            solve_portfolio(
-                &ctx,
-                Objective::MinDelay,
-                &PortfolioConfig::for_objective(Objective::MinDelay).threads(0),
-            )
-            .expect("delay slate solves")
-        });
-        let r = scope.spawn(|| {
-            solve_portfolio(
-                &ctx,
-                Objective::MaxRate,
-                &PortfolioConfig::for_objective(Objective::MaxRate).threads(0),
-            )
-            .expect("rate slate solves")
-        });
+        let d =
+            scope.spawn(|| solve_portfolio(&ctx, Objective::MinDelay).expect("delay slate solves"));
+        let r =
+            scope.spawn(|| solve_portfolio(&ctx, Objective::MaxRate).expect("rate slate solves"));
         (d.join().unwrap(), r.join().unwrap())
     });
 
@@ -409,13 +388,7 @@ fn determinism_fig2_rows_identical_with_bank_on_and_off() {
     let bank = ClosureBank::new();
     let banked: Vec<_> = specs
         .iter()
-        .map(|c| {
-            run_case_opts(
-                &c.generate().unwrap(),
-                &cost(),
-                CompareOptions::banked(&bank),
-            )
-        })
+        .map(|c| run_case_opts(&c.generate().unwrap(), &cost(), Some(&bank)))
         .collect();
     assert_eq!(plain, banked, "bank must not change any row");
     assert_eq!(to_csv(&plain), to_csv(&banked), "golden CSV must pin");
@@ -435,7 +408,7 @@ fn banked_sweep_hits_on_shared_topology_and_misses_on_perturbation() {
     // three sweep cases over one network → one cold build, two bank hits
     let suite = vec![inst.clone(), inst.clone(), inst.clone()];
     let bank = ClosureBank::new();
-    let rows = run_cases(&suite, &cost(), 1, CompareOptions::banked(&bank));
+    let rows = run_cases(&suite, &cost(), 1, Some(&bank));
     for row in &rows {
         assert_eq!(row, &baseline);
     }
@@ -457,7 +430,7 @@ fn banked_sweep_hits_on_shared_topology_and_misses_on_perturbation() {
             elpc::netsim::Link::new(link.bw_mbps + 0.5, link.mld_ms),
         )
         .unwrap();
-    run_case_opts(&perturbed, &cost(), CompareOptions::banked(&bank));
+    run_case_opts(&perturbed, &cost(), Some(&bank));
     assert_eq!(bank.stats().misses, 2, "perturbed bandwidth must miss");
 
     // ... and a perturbed MLD likewise
@@ -469,6 +442,6 @@ fn banked_sweep_hits_on_shared_topology_and_misses_on_perturbation() {
             elpc::netsim::Link::new(link.bw_mbps, link.mld_ms + 0.25),
         )
         .unwrap();
-    run_case_opts(&perturbed, &cost(), CompareOptions::banked(&bank));
+    run_case_opts(&perturbed, &cost(), Some(&bank));
     assert_eq!(bank.stats().misses, 3, "perturbed MLD must miss");
 }

@@ -164,72 +164,6 @@ fn portfolio_entries_are_bit_identical_across_thread_counts() {
     }
 }
 
-/// Portfolio v2: a seed-raced fanned slate with early cancellation is
-/// bit-identical at `threads = 1` and `threads = 0`. Cancellation is
-/// index-monotone (a member can only be skipped when a strictly earlier
-/// member already matched the routed bound), so the winner, its value,
-/// and every per-member report agree regardless of scheduling.
-#[test]
-fn fanned_early_cancel_portfolios_are_bit_identical_across_thread_counts() {
-    use elpc::mapping::{portfolio::solve_portfolio, FannedMember, PortfolioConfig};
-    for seed in 0..6u64 {
-        let owned = InstanceSpec::sized(5, 9, 20).generate(seed).unwrap();
-        let inst = owned.as_instance();
-        let ctx = SolveContext::new(inst, cost());
-        for (objective, base) in [
-            (Objective::MinDelay, "lns_delay"),
-            (Objective::MaxRate, "lns_rate"),
-        ] {
-            let config = |threads: usize| {
-                PortfolioConfig::for_objective(objective)
-                    .fan(FannedMember {
-                        base,
-                        seeds: vec![7, 8, 9],
-                        budgets: vec![500, 5000],
-                    })
-                    .early_cancel()
-                    .threads(threads)
-            };
-            let serial = solve_portfolio(&ctx, objective, &config(1));
-            let parallel = solve_portfolio(&ctx, objective, &config(0));
-            match (serial, parallel) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.winner, b.winner, "seed {seed}, {base}");
-                    assert_eq!(
-                        a.solution.assignment, b.solution.assignment,
-                        "seed {seed}, {base}"
-                    );
-                    assert_eq!(
-                        a.solution.objective_ms.to_bits(),
-                        b.solution.objective_ms.to_bits(),
-                        "seed {seed}, {base}"
-                    );
-                    assert_eq!(a.members.len(), b.members.len());
-                    for (x, y) in a.members.iter().zip(&b.members) {
-                        assert_eq!(x.name, y.name, "seed {seed}, {base}");
-                        assert_eq!(
-                            x.objective_ms.map(f64::to_bits),
-                            y.objective_ms.map(f64::to_bits),
-                            "seed {seed}, {base}, member {}",
-                            x.name
-                        );
-                        assert_eq!(x.won, y.won, "seed {seed}, {base}, member {}", x.name);
-                        assert_eq!(
-                            x.cancelled, y.cancelled,
-                            "seed {seed}, {base}, member {}",
-                            x.name
-                        );
-                    }
-                }
-                (Err(a), Err(b)) => {
-                    assert_eq!(a.to_string(), b.to_string(), "seed {seed}, {base}");
-                }
-                other => panic!("seed {seed}, {base}: divergent feasibility {other:?}"),
-            }
-        }
-    }
-}
-
 /// ISSUE 5 kernel equivalence, part 1: on every suite instance the dense
 /// kernel's full evaluation is bit-identical to the closure-backed routed
 /// evaluators — the values every solver reports are the values the
