@@ -4,8 +4,8 @@
 //! 5000-candidate budget, locked baseline vs kernel delta. The
 //! `BENCH_eval_kernel.json` artifact tracks it across commits.
 //!
-//! The bench also pins the reconciliation contract at solver level: every
-//! metaheuristic registry entry and both portfolio slates must report
+//! The bench also pins the reconciliation contract at solver level: the
+//! tabu/anneal/genetic registry entries and both portfolio slates must report
 //! objectives that re-evaluate **bit-for-bit** under the closure-backed
 //! routed evaluators (same seed, same budget — the kernel changes how fast
 //! candidates are scored, never what the search returns).
@@ -206,25 +206,14 @@ fn bench_eval_kernel(c: &mut Criterion) {
     group.finish();
 
     // --- the reconciliation + unchanged-mappings record -----------------
-    // every metaheuristic entry and both portfolio slates, solved at their
-    // default seed/budget on the warm context: the reported objective must
-    // re-evaluate bit-for-bit under the closure-backed routed evaluators
-    for name in [
-        "anneal_delay",
-        "genetic_delay",
-        "tabu_delay",
-        "anneal_rate",
-        "genetic_rate",
-        "tabu_rate",
-    ] {
+    // the tabu/anneal/genetic entries (all rate searches) and both
+    // portfolio slates, solved at their default seed/budget on the warm
+    // context: the reported objective must re-evaluate bit-for-bit under
+    // the closure-backed routed evaluators
+    for name in ["anneal_rate", "genetic_rate", "tabu_rate"] {
         let s = solver(name).expect("registered");
         let sol = s.solve(&warm).expect("bench instance is feasible");
-        let re = match s.objective() {
-            Objective::MinDelay => routed::routed_delay_ms_ctx(&warm, &sol.assignment).unwrap(),
-            Objective::MaxRate => {
-                routed::routed_bottleneck_ms_ctx(&warm, &sol.assignment, true).unwrap()
-            }
-        };
+        let re = routed::routed_bottleneck_ms_ctx(&warm, &sol.assignment, true).unwrap();
         assert_eq!(
             re.to_bits(),
             sol.objective_ms.to_bits(),

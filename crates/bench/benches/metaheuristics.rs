@@ -1,4 +1,4 @@
-//! The metaheuristic solver bench: simulated annealing and genetic search
+//! The metaheuristic solver bench: the rate annealer and genetic search
 //! against the exact/DP references on a mid-size instance, cold context vs
 //! a shared warm closure (the compare-harness shape, where the DPs run
 //! first and every metaheuristic candidate evaluation is a hash lookup).
@@ -16,12 +16,7 @@ fn bench_metaheuristics(c: &mut Criterion) {
     // small enough that every solver finishes in milliseconds when warm
     let inst_owned = InstanceSpec::sized(10, 30, 110).generate(0xA11E).unwrap();
     let inst = inst_owned.as_instance();
-    let names = [
-        "anneal_delay",
-        "anneal_rate",
-        "genetic_delay",
-        "genetic_rate",
-    ];
+    let names = ["anneal_rate", "genetic_rate"];
 
     let mut group = c.benchmark_group("metaheuristics");
     group

@@ -1,12 +1,10 @@
 //! The portfolio meta-solver bench: the concurrent slate race on one
-//! shared closure vs its best single member solving cold, per-member
-//! attribution timings for the whole delay slate, and tabu vs
-//! anneal/genetic at **equal move budgets** (5000 candidate evaluations
-//! each). The `BENCH_portfolio.json` artifact tracks all of it across
-//! commits.
+//! shared closure vs its best single member solving cold, and per-member
+//! attribution timings for the whole delay slate. The
+//! `BENCH_portfolio.json` artifact tracks all of it across commits.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use elpc_mapping::{metaheuristic, portfolio, solver, tabu, CostModel, Objective, SolveContext};
+use elpc_mapping::{portfolio, solver, CostModel, Objective, SolveContext};
 use elpc_workloads::InstanceSpec;
 use std::hint::black_box;
 use std::time::Duration;
@@ -64,76 +62,6 @@ fn bench_portfolio(c: &mut Criterion) {
         });
     }
 
-    // tabu vs anneal vs genetic at an equal budget of 5000 candidate
-    // evaluations, all warm — the classical-baseline comparison from the
-    // dispersed-computing literature
-    let tabu_cfg = tabu::TabuConfig {
-        iterations: 250,
-        neighborhood: 20,
-        ..Default::default()
-    };
-    let anneal_cfg = metaheuristic::AnnealConfig {
-        iterations: 2500,
-        restarts: 2,
-        ..Default::default()
-    };
-    let genetic_cfg = metaheuristic::GeneticConfig {
-        population: 50,
-        generations: 100,
-        ..Default::default()
-    };
-    group.bench_function("equal_budget/tabu_delay", |b| {
-        b.iter(|| black_box(tabu::solve_tabu(&warm, Objective::MinDelay, &tabu_cfg)))
-    });
-    group.bench_function("equal_budget/anneal_delay", |b| {
-        b.iter(|| {
-            black_box(metaheuristic::solve_anneal(
-                &warm,
-                Objective::MinDelay,
-                &anneal_cfg,
-            ))
-        })
-    });
-    group.bench_function("equal_budget/genetic_delay", |b| {
-        b.iter(|| {
-            black_box(metaheuristic::solve_genetic(
-                &warm,
-                Objective::MinDelay,
-                &genetic_cfg,
-            ))
-        })
-    });
-    // the quality side of the equal-budget comparison, for the log
-    let optimum = solver("elpc_delay_routed")
-        .expect("registered")
-        .solve(&warm)
-        .expect("feasible")
-        .objective_ms;
-    for (name, ms) in [
-        (
-            "tabu",
-            tabu::solve_tabu(&warm, Objective::MinDelay, &tabu_cfg)
-                .expect("feasible")
-                .objective_ms,
-        ),
-        (
-            "anneal",
-            metaheuristic::solve_anneal(&warm, Objective::MinDelay, &anneal_cfg)
-                .expect("feasible")
-                .objective_ms,
-        ),
-        (
-            "genetic",
-            metaheuristic::solve_genetic(&warm, Objective::MinDelay, &genetic_cfg)
-                .expect("feasible")
-                .objective_ms,
-        ),
-    ] {
-        eprintln!(
-            "equal-budget quality {name}: {ms:.1} ms (gap {:.4} vs routed optimum)",
-            ms / optimum
-        );
-    }
     group.finish();
 }
 

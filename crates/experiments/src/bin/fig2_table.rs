@@ -20,9 +20,6 @@ fn main() {
         "ELPC delay (ms)",
         "Streamline delay (ms)",
         "Greedy delay (ms)",
-        "Anneal delay (ms)",
-        "GA delay (ms)",
-        "Tabu delay (ms)",
         "LNS delay (ms)",
         "Portfolio delay (ms)",
         "ELPC rate (fps)",
@@ -53,9 +50,6 @@ fn main() {
             fmt_ms(&r.delay_elpc),
             fmt_ms(&r.delay_streamline),
             fmt_ms(&r.delay_greedy),
-            fmt_ms(&r.delay_anneal),
-            fmt_ms(&r.delay_genetic),
-            fmt_ms(&r.delay_tabu),
             fmt_ms(&r.delay_lns),
             fmt_ms(&r.delay_portfolio),
             fmt_fps(&r.rate_elpc),
@@ -92,16 +86,16 @@ fn main() {
     );
     if gap_count > 0 {
         println!(
-            "Mean metaheuristic delay quality gap vs the routed optimum: \
+            "Mean LNS delay quality gap vs the routed optimum: \
              {:.4} over {gap_count} cases (1.0 = optimal).",
             gap_sum / gap_count as f64
         );
     }
     println!(
         "(ELPC columns use routed-overlay semantics so all algorithms are \
-         charged transfers identically; the quality-gap columns divide the \
-         best metaheuristic objective by the exact optimum of the same \
-         routed search space. See DESIGN.md and ARCHITECTURE.md.)"
+         charged transfers identically; the quality-gap columns divide a \
+         search objective (LNS for delay, the best rate search for rate) by \
+         the exact optimum of the same routed search space. See DESIGN.md and ARCHITECTURE.md.)"
     );
 
     std::fs::write(results_dir().join("fig2_table.md"), md).expect("write fig2_table.md");

@@ -559,32 +559,13 @@ impl<'a> SolveContext<'a> {
     /// The dense evaluation kernel for this instance (see [`crate::eval`]),
     /// built on first use — through [`MetricClosure::par_warm`] on the
     /// context's warm-thread count — and memoized, so every local-search
-    /// solver and the rate polish running on this context (or a clone of
-    /// it) share one snapshot. Contents are bit-identical at any thread
-    /// count.
+    /// solver running on this context (or a clone of it) shares one
+    /// snapshot. Contents are bit-identical at any thread count.
     pub fn eval_kernel(&self) -> Arc<crate::eval::EvalKernel> {
         Arc::clone(
             self.kernel
                 .get_or_init(|| Arc::new(crate::eval::EvalKernel::build(self))),
         )
-    }
-
-    /// The kernel if some solver on this context already built it — the
-    /// opportunistic fast path for callers (like the rate polish) whose own
-    /// workload would not amortize a fresh snapshot.
-    pub fn eval_kernel_cached(&self) -> Option<Arc<crate::eval::EvalKernel>> {
-        self.kernel.get().cloned()
-    }
-
-    /// Pre-installs `kernel` as this context's memoized evaluation kernel,
-    /// so [`Self::eval_kernel`] hands it out instead of building one.
-    /// Returns `false` (and installs nothing) when a kernel is already
-    /// memoized. This is how a churn loop reuses a row-patched kernel
-    /// ([`crate::EvalKernel::patched_for_churn`]) on the next epoch's
-    /// context: the caller owes the same contract the builder meets — the
-    /// kernel must equal `EvalKernel::build(self)` bit-for-bit.
-    pub fn install_eval_kernel(&self, kernel: Arc<crate::eval::EvalKernel>) -> bool {
-        self.kernel.set(kernel).is_ok()
     }
 
     /// Shorthand for [`MetricClosure::routed_from`].

@@ -32,9 +32,9 @@
 //!    distances still *achieve* them → **keep, bit-for-bit**.
 //!
 //! Node power perturbations never touch transfer trees at all — edge costs
-//! depend only on bandwidth, MLD, and payload — they only re-price
-//! `EvalKernel` compute columns (see [`crate::EvalKernel::patched_for_churn`])
-//! and re-key the bank.
+//! depend only on bandwidth, MLD, and payload — they only change the
+//! compute columns of an `EvalKernel` built on the perturbed network, and
+//! re-key the bank.
 //!
 //! ## Failures are perturbations to a sentinel
 //!

@@ -1,8 +1,8 @@
 //! Dense evaluation kernel and O(1) delta moves for the local-search
 //! solver family.
 //!
-//! The metaheuristics (annealing, genetic, tabu) and the rate polish spend
-//! their entire budget evaluating assignments, and every transfer term of a
+//! The local searches (annealing, genetic, tabu, LNS) spend their entire
+//! budget evaluating assignments, and every transfer term of a
 //! closure-backed evaluation pays a shard `RwLock` read, a hash lookup, and
 //! an `Arc` clone through [`crate::MetricClosure::routed_from`] — even
 //! though a reassign/swap move perturbs at most three terms. This module
@@ -48,8 +48,9 @@
 //! `ClosureBank` are reused instead of recomputed, and the trees the kernel
 //! does build stay in the closure for every later solver on the context.
 //! [`crate::SolveContext::eval_kernel`] memoizes the kernel per context, so
-//! a compare row or portfolio slate builds it once for all six
-//! metaheuristic members and the rate polish.
+//! a compare row or portfolio slate builds it once for every kernel-backed
+//! member (the rate tabu, annealing and genetic searches, and both LNS
+//! entries).
 //!
 //! Infeasible transfers (disconnected host pairs) are stored as
 //! `f64::INFINITY`; the delta tier tracks infinite terms by count (never by
@@ -216,74 +217,6 @@ impl EvalKernel {
             Objective::MinDelay => self.full_delay_ms(assignment),
             Objective::MaxRate => self.full_bottleneck_ms(assignment, true),
         }
-    }
-
-    /// Patches this kernel against a perturbation instead of rebuilding it:
-    /// transfer rows whose `(payload, source)` tree went stale (the `stale`
-    /// keys a churn repair identified, e.g. via
-    /// [`crate::delta::partition_stale`]) are re-copied from `ctx`'s
-    /// *repaired* closure, and compute columns of power-perturbed nodes
-    /// (crashes included: a crashed node's compute prices at `+∞`) are
-    /// re-priced from `ctx`'s network; every other entry is memcpy'd
-    /// unchanged. The result is bit-identical to [`EvalKernel::build`] on
-    /// `ctx` — at the cost of the changed rows only.
-    ///
-    /// `ctx` must be a context over the perturbed network with the same
-    /// pipeline (same module count, payloads, and node count as this
-    /// kernel) whose closure already holds the rebuilt trees; stale keys
-    /// for payloads this kernel never tabulated are ignored.
-    pub fn patched_for_churn(
-        &self,
-        ctx: &SolveContext<'_>,
-        delta: &crate::delta::NetworkDelta,
-        stale: &[crate::TreeKey],
-    ) -> EvalKernel {
-        let pipe = ctx.instance().pipeline;
-        let net = ctx.instance().network;
-        assert_eq!(pipe.len(), self.n, "pipeline shape must match the kernel");
-        assert_eq!(
-            net.node_count(),
-            self.k,
-            "network size must match the kernel"
-        );
-
-        // the kernel's payload table, re-derived exactly as build() does
-        // (first-seen distinct order by bit pattern)
-        let mut payloads: Vec<f64> = Vec::new();
-        for j in 0..self.n.saturating_sub(1) {
-            let bytes = pipe.module(j).output_bytes;
-            if !payloads.iter().any(|p| p.to_bits() == bytes.to_bits()) {
-                payloads.push(bytes);
-            }
-        }
-
-        let mut patched = self.clone();
-        let k = self.k;
-        for key in stale {
-            let Some(p) = payloads
-                .iter()
-                .position(|pl| pl.to_bits() == key.payload().to_bits())
-            else {
-                continue;
-            };
-            let a = key.source_node().index();
-            let tree = ctx.routed_from(key.source_node(), key.payload());
-            let row = &mut patched.transfer[p * k * k + a * k..p * k * k + (a + 1) * k];
-            row.copy_from_slice(&tree.dist);
-            row[a] = 0.0;
-        }
-        for np in &delta.nodes {
-            let v = np.node.index();
-            for j in 0..self.n {
-                let work = pipe.compute_work(j);
-                if work > 0.0 {
-                    // a crashed node's power is 0 → compute prices at +∞,
-                    // exactly what a cold build over the failed network does
-                    patched.compute[j * k + v] = work / net.power(np.node);
-                }
-            }
-        }
-        patched
     }
 }
 

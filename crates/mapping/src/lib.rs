@@ -14,15 +14,15 @@
 //! | [`exact`]      | exhaustive search                | — | optimal, exponential; small instances only |
 //! | [`streamline`] | Streamline [Agarwalla et al. 2006] adapted to linear pipelines | §3.2 | heuristic, `O(m·n²)` |
 //! | [`greedy`]     | local greedy                     | §3.3 | heuristic, `O(m·n)` |
-//! | [`metaheuristic`] | simulated annealing + genetic search over free assignments | related work | heuristic, seeded-deterministic |
-//! | [`tabu`]       | tabu search over free assignments | related work | heuristic, seeded-deterministic |
+//! | [`metaheuristic`] | simulated annealing + genetic search over distinct-host assignments (rate) | related work | heuristic, seeded-deterministic |
+//! | [`tabu`]       | tabu search over distinct-host assignments (rate) | related work | heuristic, seeded-deterministic |
 //! | [`lns`]        | adaptive large-neighborhood search (destroy/repair over stage segments) | related work | heuristic, seeded-deterministic |
 //! | [`portfolio`]  | concurrent slate race over registry members | — | best member wins, deterministic tie-break |
 //!
 //! ## The `Solver` registry and `SolveContext`
 //!
-//! All twenty solver entry points (the algorithms × two objectives —
-//! strict, routed, metaheuristic, and portfolio variants) are registered behind the [`Solver`] trait;
+//! All seventeen solver entry points (the algorithms × their objectives —
+//! strict, routed, local-search, and portfolio variants) are registered behind the [`Solver`] trait;
 //! [`registry()`] enumerates them and [`solver()`] looks one up by name.
 //! Every solver receives a [`SolveContext`] — the instance, the cost model,
 //! and a shared [`MetricClosure`] that lazily caches the routed all-pairs

@@ -33,12 +33,13 @@
 //! bit-identical to [`crate::routed::routed_delay_ms_ctx`] /
 //! [`crate::routed::routed_bottleneck_ms_ctx`] on everything they report.
 //!
-//! * **MinDelay** candidates may reuse nodes (the §3.1.1 relaxation);
-//!   the exact optimum of this space is `elpc_delay_routed`, which makes
-//!   the *quality gap* `metaheuristic / exact` well-defined and ≥ 1.
-//! * **MaxRate** candidates must use pairwise-distinct hosts (the §3.1.2
-//!   streaming constraint); the exact reference on small instances is
-//!   [`crate::exact::max_rate_routed`].
+//! Both solvers optimize **MaxRate**: candidates must use pairwise-distinct
+//! hosts (the §3.1.2 streaming constraint, the NP-complete side of the
+//! paper), and the exact reference on small instances is
+//! [`crate::exact::max_rate_routed`]. Min-delay with node reuse is solved
+//! exactly by `elpc_delay_routed` (§3.1.1), so no single-move search runs
+//! on it; the shared `Search` state keeps its MinDelay rules for
+//! [`crate::lns`] only.
 //!
 //! ## Determinism
 //!
@@ -49,8 +50,8 @@
 //! acceptance test calls `exp`/`powf`, whose last-ulp rounding may differ
 //! between libm implementations, so cross-machine reproducibility is
 //! per-platform rather than universal.) The registry entries
-//! (`anneal_{delay,rate}`, `genetic_{delay,rate}`) use the default configs
-//! and are therefore fully reproducible within a platform.
+//! (`anneal_rate`, `genetic_rate`) use the default configs and are
+//! therefore fully reproducible within a platform.
 
 use crate::eval::{DeltaEval, EvalKernel, MoveSpec};
 use crate::{AssignmentSolution, MappingError, Objective, Result, SolveContext};
@@ -299,21 +300,23 @@ impl Search {
         None
     }
 
-    /// Draws one neighborhood move — reassign-one-stage or swap-two-stages
-    /// — honoring the distinctness constraint, without materializing the
-    /// candidate (`used` marks which hosts the current assignment occupies;
-    /// only the distinct-reassign branch reads them). Returns `None` when
-    /// the instance admits no move. The RNG call sequence is the
-    /// neighborhood's contract: a seeded run proposes the same moves
-    /// whether the caller scores them by delta or by full evaluation.
+    /// Draws one distinct-host neighborhood move — reassign one stage to
+    /// an unused host, or swap two stages — without materializing the
+    /// candidate (`used` marks which hosts the current assignment
+    /// occupies). Only the rate searches (annealing, tabu) propose moves.
+    /// Returns `None` when the instance admits no move. The RNG call
+    /// sequence is the neighborhood's contract: a seeded run proposes the
+    /// same moves whether the caller scores them by delta or by full
+    /// evaluation.
     pub(crate) fn propose_spec(&self, used: &[bool], rng: &mut ChaCha8Rng) -> Option<MoveSpec> {
+        debug_assert!(self.distinct(), "moves are proposed for MaxRate only");
         let interior = self.n.saturating_sub(2);
         if interior == 0 {
             return None;
         }
         let can_swap = interior >= 2;
-        // for MaxRate, reassignment needs a currently unused host
-        let can_reassign = !self.distinct() || self.k > self.n;
+        // reassignment needs a currently unused host
+        let can_reassign = self.k > self.n;
         let do_swap = match (can_swap, can_reassign) {
             (true, true) => rng.gen_bool(0.5),
             (true, false) => true,
@@ -329,27 +332,25 @@ impl Search {
             Some(MoveSpec::Swap { a: j1, b: j2 })
         } else {
             let j = 1 + rng.gen_range(0..interior);
-            let to = if self.distinct() {
-                // i-th unused host in ascending node order, without
-                // materializing the unused list (all n hosts are distinct,
-                // so exactly k - n candidates exist)
-                let mut pick = rng.gen_range(0..self.k - self.n);
-                let mut v = usize::MAX;
-                for (c, &u) in used.iter().enumerate() {
-                    if !u {
-                        if pick == 0 {
-                            v = c;
-                            break;
-                        }
-                        pick -= 1;
+            // i-th unused host in ascending node order, without
+            // materializing the unused list (all n hosts are distinct, so
+            // exactly k - n candidates exist)
+            let mut pick = rng.gen_range(0..self.k - self.n);
+            let mut v = usize::MAX;
+            for (c, &u) in used.iter().enumerate() {
+                if !u {
+                    if pick == 0 {
+                        v = c;
+                        break;
                     }
+                    pick -= 1;
                 }
-                debug_assert!(v < self.k, "k > n guarantees an unused host");
-                NodeId::from_index(v)
-            } else {
-                NodeId::from_index(rng.gen_range(0..self.k))
-            };
-            Some(MoveSpec::Reassign { stage: j, to })
+            }
+            debug_assert!(v < self.k, "k > n guarantees an unused host");
+            Some(MoveSpec::Reassign {
+                stage: j,
+                to: NodeId::from_index(v),
+            })
         }
     }
 
@@ -374,7 +375,7 @@ pub(crate) fn track_best(best: &mut Option<(Vec<NodeId>, f64)>, cand: &[NodeId],
     }
 }
 
-/// Simulated annealing over stage→node assignments.
+/// Simulated annealing over distinct-host stage→node assignments (MaxRate).
 ///
 /// Each restart walks from a feasible initial assignment, proposing
 /// reassign/swap moves and accepting a worsening move of relative size `d`
@@ -387,13 +388,9 @@ pub(crate) fn track_best(best: &mut Option<(Vec<NodeId>, f64)>, cand: &[NodeId],
 /// every incumbent — reconciles bit-for-bit with the routed evaluators.
 /// Deterministic for a fixed `(instance, cost model, config)` at any
 /// thread count.
-pub fn solve_anneal(
-    ctx: &SolveContext<'_>,
-    objective: Objective,
-    config: &AnnealConfig,
-) -> Result<AssignmentSolution> {
+pub fn solve_anneal(ctx: &SolveContext<'_>, config: &AnnealConfig) -> Result<AssignmentSolution> {
     config.validate()?;
-    let search = Search::new(ctx, objective)?;
+    let search = Search::new(ctx, Objective::MaxRate)?;
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let mut best: Option<(Vec<NodeId>, f64)> = None;
     let cooling =
@@ -445,23 +442,19 @@ pub(crate) fn elite_order(fitness: &[f64]) -> Vec<usize> {
     order
 }
 
-/// Genetic search over stage→node assignments.
+/// Genetic search over distinct-host stage→node assignments (MaxRate).
 ///
 /// A generational GA: tournament selection picks parents, one-point
 /// crossover on the interior stage vector recombines them (with a
-/// duplicate-repair pass under the MaxRate distinctness constraint),
+/// duplicate-repair pass under the distinctness constraint),
 /// per-gene mutation reassigns a stage to a random host, and the `elite`
 /// best individuals survive unchanged. Fitness is the routed objective
 /// through the shared metric closure; infeasible individuals score
 /// `+∞` and die out. Deterministic for a fixed `(instance, cost model,
 /// config)` at any thread count.
-pub fn solve_genetic(
-    ctx: &SolveContext<'_>,
-    objective: Objective,
-    config: &GeneticConfig,
-) -> Result<AssignmentSolution> {
+pub fn solve_genetic(ctx: &SolveContext<'_>, config: &GeneticConfig) -> Result<AssignmentSolution> {
     config.validate()?;
-    let search = Search::new(ctx, objective)?;
+    let search = Search::new(ctx, Objective::MaxRate)?;
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let n = search.n;
 
@@ -521,9 +514,7 @@ pub fn solve_genetic(
                     child[j] = NodeId::from_index(rng.gen_range(0..search.k));
                 }
             }
-            if search.distinct() {
-                repair_duplicates(&mut child, search.k, &mut rng);
-            }
+            repair_duplicates(&mut child, search.k, &mut rng);
             next.push(child);
         }
         population = next;
@@ -540,7 +531,7 @@ pub fn solve_genetic(
     search.finish(best)
 }
 
-/// Repairs a MaxRate genome after crossover/mutation: later duplicates are
+/// Repairs a genome after crossover/mutation: later duplicates are
 /// replaced by deterministic-random unused hosts, so every individual in
 /// the population satisfies the distinctness constraint by construction.
 fn repair_duplicates(a: &mut [NodeId], k: usize, rng: &mut ChaCha8Rng) {
@@ -565,7 +556,7 @@ fn repair_duplicates(a: &mut [NodeId], k: usize, rng: &mut ChaCha8Rng) {
 mod tests {
     use super::*;
     use crate::test_fixtures::{k5, pipe4};
-    use crate::{elpc_delay, routed, CostModel, Instance};
+    use crate::{routed, CostModel, Instance};
     use elpc_pipeline::Pipeline;
 
     fn cost() -> CostModel {
@@ -591,30 +582,44 @@ mod tests {
         assert_eq!(elite_order(&[]), Vec::<usize>::new());
     }
 
-    /// End-to-end companion: a population where every random individual is
-    /// infeasible (non-finite fitness) still runs every generation's
-    /// elitism sort without panicking and recovers the one feasible
-    /// mapping.
+    /// End-to-end companion: a seeded population where every individual,
+    /// the baseline included, is infeasible (non-finite fitness) still runs
+    /// every generation's elitism sort without panicking and recovers a
+    /// feasible host pair.
     #[test]
     fn genetic_survives_an_all_infeasible_population() {
-        // line 0-1-2: any interior assignment off the line is unreachable
-        // in one hop for some boundary, so most random draws are ∞
+        // nodes 1-3 are isolated and the line runs 0-4-5-6, so the
+        // baseline (lowest free indices 1, 2) and 18 of the 20 ordered
+        // interior pairs are unreachable; only (4, 5) and (5, 4) are finite
         let mut b = elpc_netsim::Network::builder();
-        let n0 = b.add_node(100.0).unwrap();
-        let n1 = b.add_node(50.0).unwrap();
-        let n2 = b.add_node(200.0).unwrap();
-        b.add_link(n0, n1, 10.0, 1.0).unwrap();
-        b.add_link(n1, n2, 10.0, 1.0).unwrap();
-        let net = b.build().unwrap();
+        let ns: Vec<NodeId> = [100.0, 10.0, 10.0, 10.0, 50.0, 80.0, 200.0]
+            .iter()
+            .map(|&p| b.add_node(p).unwrap())
+            .collect();
+        for w in [0, 4, 5, 6].windows(2) {
+            b.add_link(ns[w[0]], ns[w[1]], 10.0, 1.0).unwrap();
+        }
+        let net = b.build_unchecked();
         let pipe = pipe4();
-        let inst = Instance::new(&net, &pipe, n0, n2).unwrap();
-        let sol = solve_genetic(
-            &SolveContext::new(inst, cost()),
-            Objective::MinDelay,
-            &GeneticConfig::default(),
-        )
-        .expect("the line mapping is feasible");
+        let inst = Instance::new(&net, &pipe, ns[0], ns[6]).unwrap();
+        let ctx = SolveContext::new(inst, cost());
+        let config = GeneticConfig {
+            population: 4,
+            elite: 1,
+            ..GeneticConfig::default()
+        };
+        // precondition: the seeded initial population is all ∞
+        let search = Search::new(&ctx, Objective::MaxRate).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+        let mut initial = vec![search.baseline()];
+        initial.extend((1..config.population).map(|_| search.random_assignment(&mut rng)));
+        for a in &initial {
+            assert!(search.evaluate(a).is_none(), "{a:?} is feasible");
+        }
+        let sol = solve_genetic(&ctx, &config).expect("the line mapping is feasible");
         assert!(sol.objective_ms.is_finite());
+        let pair = &sol.assignment[1..3];
+        assert!(pair == [ns[4], ns[5]] || pair == [ns[5], ns[4]], "{pair:?}");
     }
 
     #[test]
@@ -622,22 +627,10 @@ mod tests {
         let net = k5();
         let pipe = pipe4();
         let inst = Instance::new(&net, &pipe, NodeId(0), NodeId(4)).unwrap();
-        for objective in [Objective::MinDelay, Objective::MaxRate] {
-            let a = solve_anneal(
-                &SolveContext::new(inst, cost()),
-                objective,
-                &AnnealConfig::default(),
-            )
-            .unwrap();
-            let b = solve_anneal(
-                &SolveContext::new(inst, cost()),
-                objective,
-                &AnnealConfig::default(),
-            )
-            .unwrap();
-            assert_eq!(a.assignment, b.assignment);
-            assert_eq!(a.objective_ms.to_bits(), b.objective_ms.to_bits());
-        }
+        let a = solve_anneal(&SolveContext::new(inst, cost()), &AnnealConfig::default()).unwrap();
+        let b = solve_anneal(&SolveContext::new(inst, cost()), &AnnealConfig::default()).unwrap();
+        assert_eq!(a.assignment, b.assignment);
+        assert_eq!(a.objective_ms.to_bits(), b.objective_ms.to_bits());
     }
 
     #[test]
@@ -645,40 +638,10 @@ mod tests {
         let net = k5();
         let pipe = pipe4();
         let inst = Instance::new(&net, &pipe, NodeId(0), NodeId(4)).unwrap();
-        for objective in [Objective::MinDelay, Objective::MaxRate] {
-            let a = solve_genetic(
-                &SolveContext::new(inst, cost()),
-                objective,
-                &GeneticConfig::default(),
-            )
-            .unwrap();
-            let b = solve_genetic(
-                &SolveContext::new(inst, cost()),
-                objective,
-                &GeneticConfig::default(),
-            )
-            .unwrap();
-            assert_eq!(a.assignment, b.assignment);
-            assert_eq!(a.objective_ms.to_bits(), b.objective_ms.to_bits());
-        }
-    }
-
-    #[test]
-    fn anneal_delay_matches_the_routed_optimum_on_a_small_instance() {
-        let net = k5();
-        let pipe = pipe4();
-        let inst = Instance::new(&net, &pipe, NodeId(0), NodeId(4)).unwrap();
-        let ctx = SolveContext::new(inst, cost());
-        let exact = elpc_delay::solve_routed_ctx(&ctx).unwrap();
-        let sa = solve_anneal(&ctx, Objective::MinDelay, &AnnealConfig::default()).unwrap();
-        // never better than the routed optimum; on K5 it should find it
-        assert!(sa.objective_ms >= exact.objective_ms - 1e-9);
-        assert!(
-            (sa.objective_ms - exact.objective_ms).abs() <= 1e-6 * exact.objective_ms,
-            "annealing missed the optimum on a trivial instance: {} vs {}",
-            sa.objective_ms,
-            exact.objective_ms
-        );
+        let a = solve_genetic(&SolveContext::new(inst, cost()), &GeneticConfig::default()).unwrap();
+        let b = solve_genetic(&SolveContext::new(inst, cost()), &GeneticConfig::default()).unwrap();
+        assert_eq!(a.assignment, b.assignment);
+        assert_eq!(a.objective_ms.to_bits(), b.objective_ms.to_bits());
     }
 
     #[test]
@@ -688,8 +651,8 @@ mod tests {
         let inst = Instance::new(&net, &pipe, NodeId(0), NodeId(4)).unwrap();
         let ctx = SolveContext::new(inst, cost());
         for sol in [
-            solve_anneal(&ctx, Objective::MaxRate, &AnnealConfig::default()).unwrap(),
-            solve_genetic(&ctx, Objective::MaxRate, &GeneticConfig::default()).unwrap(),
+            solve_anneal(&ctx, &AnnealConfig::default()).unwrap(),
+            solve_genetic(&ctx, &GeneticConfig::default()).unwrap(),
         ] {
             let mut seen = std::collections::BTreeSet::new();
             for &h in &sol.assignment {
@@ -711,11 +674,11 @@ mod tests {
         let inst = Instance::new(&net, &pipe, NodeId(0), NodeId(4)).unwrap();
         let ctx = SolveContext::new(inst, cost());
         assert!(matches!(
-            solve_anneal(&ctx, Objective::MaxRate, &AnnealConfig::default()),
+            solve_anneal(&ctx, &AnnealConfig::default()),
             Err(MappingError::Infeasible(_))
         ));
         assert!(matches!(
-            solve_genetic(&ctx, Objective::MaxRate, &GeneticConfig::default()),
+            solve_genetic(&ctx, &GeneticConfig::default()),
             Err(MappingError::Infeasible(_))
         ));
         // coincident endpoints likewise
@@ -723,7 +686,7 @@ mod tests {
         let inst = Instance::new(&net, &pipe, NodeId(1), NodeId(1)).unwrap();
         let ctx = SolveContext::new(inst, cost());
         assert!(matches!(
-            solve_anneal(&ctx, Objective::MaxRate, &AnnealConfig::default()),
+            solve_anneal(&ctx, &AnnealConfig::default()),
             Err(MappingError::Infeasible(_))
         ));
     }
@@ -739,7 +702,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            solve_anneal(&ctx, Objective::MinDelay, &bad),
+            solve_anneal(&ctx, &bad),
             Err(MappingError::BadConfig(_))
         ));
         let bad = AnnealConfig {
@@ -747,7 +710,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            solve_anneal(&ctx, Objective::MinDelay, &bad),
+            solve_anneal(&ctx, &bad),
             Err(MappingError::BadConfig(_))
         ));
         // a heating schedule (final above initial) is a misconfiguration
@@ -757,7 +720,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            solve_anneal(&ctx, Objective::MinDelay, &bad),
+            solve_anneal(&ctx, &bad),
             Err(MappingError::BadConfig(_))
         ));
         // an infinite temperature would poison the cooling factor into NaN
@@ -766,7 +729,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            solve_anneal(&ctx, Objective::MinDelay, &bad),
+            solve_anneal(&ctx, &bad),
             Err(MappingError::BadConfig(_))
         ));
         let bad = GeneticConfig {
@@ -774,7 +737,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            solve_genetic(&ctx, Objective::MinDelay, &bad),
+            solve_genetic(&ctx, &bad),
             Err(MappingError::BadConfig(_))
         ));
         let bad = GeneticConfig {
@@ -782,7 +745,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            solve_genetic(&ctx, Objective::MinDelay, &bad),
+            solve_genetic(&ctx, &bad),
             Err(MappingError::BadConfig(_))
         ));
         let bad = GeneticConfig {
@@ -790,7 +753,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            solve_genetic(&ctx, Objective::MinDelay, &bad),
+            solve_genetic(&ctx, &bad),
             Err(MappingError::BadConfig(_))
         ));
     }
@@ -801,9 +764,9 @@ mod tests {
         let pipe = Pipeline::from_stages(1e5, &[], 1.0).unwrap();
         let inst = Instance::new(&net, &pipe, NodeId(0), NodeId(4)).unwrap();
         let ctx = SolveContext::new(inst, cost());
-        let sa = solve_anneal(&ctx, Objective::MinDelay, &AnnealConfig::default()).unwrap();
+        let sa = solve_anneal(&ctx, &AnnealConfig::default()).unwrap();
         assert_eq!(sa.assignment, vec![NodeId(0), NodeId(4)]);
-        let ga = solve_genetic(&ctx, Objective::MaxRate, &GeneticConfig::default()).unwrap();
+        let ga = solve_genetic(&ctx, &GeneticConfig::default()).unwrap();
         assert_eq!(ga.assignment, vec![NodeId(0), NodeId(4)]);
     }
 }

@@ -11,12 +11,15 @@
 //! the slate serially, a `with_threads(inst, cost, 0)` context races it on
 //! all CPUs. Because `elpc_delay_routed` — provably optimal for the routed
 //! delay space — leads the delay slate, `portfolio_delay` inherits its
-//! optimality while attributing how close every heuristic came.
+//! optimality while attributing how close every heuristic came; the
+//! single-move delay searches (tabu, annealing, genetic) could at best tie
+//! it and are not registered at all. `lns_delay` stays on the delay slate
+//! for the closure it leaves behind (see [`DELAY_SLATE`]).
 //!
 //! ## Determinism
 //!
 //! The winner is chosen **by value, never by finish order**: every member
-//! is deterministic (the seeded metaheuristics included) and a member's
+//! is deterministic (the seeded searches included) and a member's
 //! result cannot depend on what the closure already contains (caching
 //! changes *when* trees are built, never what a query returns), so the
 //! member outcomes are identical at any thread count. Ties on the
@@ -35,19 +38,22 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The delay slate, in tie-break priority order. Leads with the
-/// routed-optimal DP, then the polynomial baselines, then the
-/// metaheuristics (the budgeted `exact_*` solvers are exponential and stay
-/// out of the race).
-pub const DELAY_SLATE: [&str; 6] = [
+/// routed-optimal DP, then the polynomial baselines, then `lns_delay`, the
+/// slate's one kernel-backed member: racing it builds the context's
+/// [`crate::eval::EvalKernel`], which warms the transfer tree of every
+/// source at every boundary payload, so a closure banked after one race
+/// serves every later delay checkout without a miss. The DP alone warms
+/// only the trees its columns reach. (The budgeted `exact_*` solvers are
+/// exponential and stay out of the race.)
+pub const DELAY_SLATE: [&str; 4] = [
     "elpc_delay_routed",
     "streamline_delay",
     "greedy_delay",
-    "tabu_delay",
-    "anneal_delay",
-    "genetic_delay",
+    "lns_delay",
 ];
 
-/// The rate slate, in tie-break priority order.
+/// The rate slate, in tie-break priority order. The distinct-host rate
+/// problem is NP-complete (§3.1.2), so every rate search races here.
 pub const RATE_SLATE: [&str; 6] = [
     "elpc_rate_routed",
     "streamline_rate",
@@ -118,9 +124,9 @@ pub struct PortfolioSolution {
 /// assert!(race.members.iter().all(|m| m.objective_ms.unwrap() >= race.solution.objective_ms));
 /// ```
 pub fn solve_portfolio(ctx: &SolveContext<'_>, objective: Objective) -> Result<PortfolioSolution> {
-    let names = match objective {
-        Objective::MinDelay => DELAY_SLATE,
-        Objective::MaxRate => RATE_SLATE,
+    let names: &[&str] = match objective {
+        Objective::MinDelay => &DELAY_SLATE,
+        Objective::MaxRate => &RATE_SLATE,
     };
     let members: Vec<&'static dyn Solver> = names
         .iter()
@@ -301,8 +307,8 @@ mod tests {
     #[test]
     fn slates_are_registered_single_objective_and_flat() {
         for (objective, names) in [
-            (Objective::MinDelay, DELAY_SLATE),
-            (Objective::MaxRate, RATE_SLATE),
+            (Objective::MinDelay, &DELAY_SLATE[..]),
+            (Objective::MaxRate, &RATE_SLATE[..]),
         ] {
             for name in names {
                 let s = solver(name).unwrap_or_else(|| panic!("`{name}` is not registered"));

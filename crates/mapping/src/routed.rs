@@ -149,42 +149,6 @@ pub fn routed_bottleneck_ms(
     )
 }
 
-/// Per-sweep transfer-distance tables behind the polish's move estimates:
-/// dense kernel rows when the context already snapshot one (identical
-/// values, no per-sweep tree fetches), otherwise shortest-path trees from
-/// the shared closure. `fwd(j, v)` is the routed time of boundary `j`'s
-/// payload from `host[j]` to `v`; `rev(j, v)` is the time from `host[j+1]`
-/// to `v` (the symmetric reverse estimate).
-enum SweepTables<'t> {
-    Kernel(&'t crate::eval::EvalKernel, &'t [NodeId]),
-    Trees {
-        fwd: Vec<std::sync::Arc<elpc_netgraph::algo::ShortestPaths>>,
-        rev: Vec<std::sync::Arc<elpc_netgraph::algo::ShortestPaths>>,
-    },
-}
-
-impl SweepTables<'_> {
-    #[inline]
-    fn fwd(&self, j: usize, v: usize) -> f64 {
-        match self {
-            SweepTables::Kernel(kernel, hosts) => {
-                kernel.transfer_ms(j, hosts[j], NodeId::from_index(v))
-            }
-            SweepTables::Trees { fwd, .. } => fwd[j].dist[v],
-        }
-    }
-
-    #[inline]
-    fn rev(&self, j: usize, v: usize) -> f64 {
-        match self {
-            SweepTables::Kernel(kernel, hosts) => {
-                kernel.transfer_ms(j, hosts[j + 1], NodeId::from_index(v))
-            }
-            SweepTables::Trees { rev, .. } => rev[j].dist[v],
-        }
-    }
-}
-
 /// Hill-climbing polish for a routed rate assignment: per sweep, estimate
 /// every single-module relocation (to an unused node) and every interior
 /// host swap from precomputed routed-distance tables, then apply the best
@@ -197,13 +161,9 @@ impl SweepTables<'_> {
 /// [`routed_bottleneck_ms`] re-evaluation, so the result is correct on any
 /// network — asymmetry only costs move-selection quality.
 ///
-/// When some solver on the context already built the dense
-/// [`crate::eval::EvalKernel`] (as any compare row or portfolio slate
-/// containing a metaheuristic does), the distance tables are read straight
-/// out of its flat matrices — same values, so the polish trajectory is
-/// unchanged — and the per-sweep tree fetches disappear. On a cold context
-/// the polish keeps its lazy closure path: its own `2n` trees per sweep
-/// are cheaper than an all-sources kernel snapshot it would not amortize.
+/// Each sweep reads its distance tables from `2n` shortest-path trees of
+/// the shared closure, so a cold context builds only the trees the polish
+/// touches.
 ///
 /// Used by the comparison harness to absorb label-pruning misses of the DP
 /// heuristics; the result is always a valid no-reuse placement.
@@ -221,26 +181,18 @@ pub fn polish_rate_assignment_ctx(
         return Ok(current); // endpoints are pinned; nothing to move
     }
     let k = net.node_count();
-    let kernel = ctx.eval_kernel_cached();
 
     for _ in 0..max_sweeps {
         // --- tables: routed distances per boundary, both directions -----
-        // fwd(j, ·) from host[j] with bytes m_j (boundary j → j+1),
-        // rev(j, ·) from host[j+1] (symmetric reverse) — dense kernel rows
-        // when available, otherwise per-sweep trees from the shared closure
-        let tables = match &kernel {
-            Some(kern) => SweepTables::Kernel(kern, assignment),
-            None => {
-                let mut fwd = Vec::with_capacity(n - 1);
-                let mut rev = Vec::with_capacity(n - 1);
-                for j in 0..n - 1 {
-                    let bytes = pipe.module(j).output_bytes;
-                    fwd.push(ctx.routed_from(assignment[j], bytes));
-                    rev.push(ctx.routed_from(assignment[j + 1], bytes));
-                }
-                SweepTables::Trees { fwd, rev }
-            }
-        };
+        // fwd[j] from host[j] with bytes m_j (boundary j → j+1), rev[j]
+        // from host[j+1] (the symmetric reverse estimate)
+        let mut fwd = Vec::with_capacity(n - 1);
+        let mut rev = Vec::with_capacity(n - 1);
+        for j in 0..n - 1 {
+            let bytes = pipe.module(j).output_bytes;
+            fwd.push(ctx.routed_from(assignment[j], bytes));
+            rev.push(ctx.routed_from(assignment[j + 1], bytes));
+        }
         // stage times: stages[2j] = compute_j, stages[2j+1] = transfer_j
         let mut stages = vec![0.0_f64; 2 * n - 1];
         for j in 0..n {
@@ -251,7 +203,7 @@ pub fn polish_rate_assignment_ctx(
                 0.0
             };
             if j + 1 < n {
-                stages[2 * j + 1] = tables.fwd(j, assignment[j + 1].index());
+                stages[2 * j + 1] = fwd[j].dist[assignment[j + 1].index()];
             }
         }
         // prefix/suffix maxima for O(1) "max excluding a window"
@@ -288,8 +240,8 @@ pub fn polish_rate_assignment_ctx(
                     continue;
                 }
                 // estimated affected stages: t_{j-1}, c_j, t_j
-                let t_prev = tables.fwd(j - 1, vi);
-                let t_next = tables.rev(j, vi); // symmetric estimate of t(v, host[j+1])
+                let t_prev = fwd[j - 1].dist[vi];
+                let t_next = rev[j].dist[vi]; // symmetric estimate of t(v, host[j+1])
                 if !t_prev.is_finite() || !t_next.is_finite() {
                     continue;
                 }
@@ -310,15 +262,15 @@ pub fn polish_rate_assignment_ctx(
                 let wb = pipe.compute_work(b);
                 // affected transfers use table symmetry; adjacent pairs share t_a
                 let (t_am1, t_a, t_bm1, t_b);
-                t_am1 = tables.fwd(a - 1, hb);
-                t_b = tables.rev(b, ha);
+                t_am1 = fwd[a - 1].dist[hb];
+                t_b = rev[b].dist[ha];
                 if b == a + 1 {
                     // boundary a now runs host_b → host_a
-                    t_a = tables.fwd(a, hb); // symmetric: t(host_b, host_a, m_a)
+                    t_a = fwd[a].dist[hb]; // symmetric: t(host_b, host_a, m_a)
                     t_bm1 = t_a;
                 } else {
-                    t_a = tables.rev(a, hb);
-                    t_bm1 = tables.fwd(b - 1, ha);
+                    t_a = rev[a].dist[hb];
+                    t_bm1 = fwd[b - 1].dist[ha];
                 }
                 if ![t_am1, t_a, t_bm1, t_b].iter().all(|t| t.is_finite()) {
                     continue;

@@ -5,8 +5,7 @@
 //! Dispersed Computing*, arXiv:2112.13875) uses tabu search as its
 //! strongest classical baseline for the unstructured assignment problem the
 //! metaheuristic family already explores. This module supplies that
-//! baseline behind the [`crate::Solver`] registry (`tabu_delay` /
-//! `tabu_rate`), reusing the reassign-one-stage / swap-two-stages
+//! baseline behind the [`crate::Solver`] registry (`tabu_rate`), reusing the reassign-one-stage / swap-two-stages
 //! neighborhood machinery of [`crate::metaheuristic`] under a different
 //! acceptance rule:
 //!
@@ -21,20 +20,20 @@
 //!
 //! ## Search space, evaluation, and warm start
 //!
-//! Identical to the metaheuristics: endpoints pinned, MinDelay may reuse
-//! hosts, MaxRate requires pairwise-distinct hosts, and every candidate is
-//! scored under routed transport. Since ISSUE 5 the neighborhood scan is
+//! Identical to the metaheuristics: endpoints pinned, MaxRate's
+//! pairwise-distinct hosts, and every candidate scored under routed
+//! transport. Since ISSUE 5 the neighborhood scan is
 //! pure array arithmetic over the context's dense
 //! [`crate::eval::EvalKernel`]: each sampled move is scored by only its
 //! changed stage terms in O(1) through [`crate::eval::DeltaEval`] (no
 //! candidate vector is materialized, no locks are taken, nothing
-//! allocates), the MaxRate scan abandons a candidate as soon as a
+//! allocates), the scan abandons a candidate as soon as a
 //! delta-updated stage term already reaches the best admissible bottleneck
 //! of the round, and the applied move re-derives the exact objective so
 //! every recorded value reconciles bit-for-bit with the routed evaluators.
 //! The initial assignment is the best of the deterministic baseline, the
 //! greedy solver's solution re-evaluated under routed semantics (a
-//! classical warm start — and the reason `tabu_*` can never end worse than
+//! classical warm start — and the reason `tabu_rate` can never end worse than
 //! greedy: routed evaluation never exceeds greedy's own strict objective),
 //! and a handful of random draws.
 //!
@@ -129,7 +128,7 @@ fn keep_best(slot: &mut Option<(MoveSpec, f64)>, mv: MoveSpec, cost: f64) {
     }
 }
 
-/// Tabu search over stage→node assignments.
+/// Tabu search over distinct-host stage→node assignments (MaxRate).
 ///
 /// Walks from a warm-started assignment, each iteration applying the best
 /// admissible of `neighborhood` sampled reassign/swap moves; a move is
@@ -138,20 +137,17 @@ fn keep_best(slot: &mut Option<(MoveSpec, f64)>, mv: MoveSpec, cost: f64) {
 /// objective ever seen (aspiration). The scan is pure array arithmetic:
 /// each sampled move is scored by its changed stage terms through the
 /// context's dense evaluation kernel (O(1) per candidate, allocation-free),
-/// and under MaxRate a candidate is abandoned as soon as a delta-updated
+/// and a candidate is abandoned as soon as a delta-updated
 /// stage term already rules it out of this round's selection. Deterministic
 /// for a fixed `(instance, cost model, config)` at any thread count, and —
 /// because the greedy solution is a starting candidate — never worse than
-/// the greedy baseline of the same objective under routed evaluation.
-pub fn solve_tabu(
-    ctx: &SolveContext<'_>,
-    objective: Objective,
-    config: &TabuConfig,
-) -> Result<AssignmentSolution> {
+/// the greedy rate baseline under routed evaluation.
+pub fn solve_tabu(ctx: &SolveContext<'_>, config: &TabuConfig) -> Result<AssignmentSolution> {
     config.validate()?;
-    let search = Search::new(ctx, objective)?;
+    let search = Search::new(ctx, Objective::MaxRate)?;
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    let Some((current, mut cur_cost)) = warm_start(ctx, objective, &search, &mut rng) else {
+    let Some((current, mut cur_cost)) = warm_start(ctx, Objective::MaxRate, &search, &mut rng)
+    else {
         return search.finish(None);
     };
     let mut best: Option<(Vec<NodeId>, f64)> = None;
@@ -227,7 +223,7 @@ pub fn solve_tabu(
 mod tests {
     use super::*;
     use crate::test_fixtures::{k5, pipe4};
-    use crate::{elpc_delay, routed, CostModel, Instance};
+    use crate::{routed, CostModel, Instance};
     use elpc_pipeline::Pipeline;
 
     fn cost() -> CostModel {
@@ -239,39 +235,10 @@ mod tests {
         let net = k5();
         let pipe = pipe4();
         let inst = Instance::new(&net, &pipe, NodeId(0), NodeId(4)).unwrap();
-        for objective in [Objective::MinDelay, Objective::MaxRate] {
-            let a = solve_tabu(
-                &SolveContext::new(inst, cost()),
-                objective,
-                &TabuConfig::default(),
-            )
-            .unwrap();
-            let b = solve_tabu(
-                &SolveContext::new(inst, cost()),
-                objective,
-                &TabuConfig::default(),
-            )
-            .unwrap();
-            assert_eq!(a.assignment, b.assignment);
-            assert_eq!(a.objective_ms.to_bits(), b.objective_ms.to_bits());
-        }
-    }
-
-    #[test]
-    fn tabu_delay_matches_the_routed_optimum_on_a_small_instance() {
-        let net = k5();
-        let pipe = pipe4();
-        let inst = Instance::new(&net, &pipe, NodeId(0), NodeId(4)).unwrap();
-        let ctx = SolveContext::new(inst, cost());
-        let exact = elpc_delay::solve_routed_ctx(&ctx).unwrap();
-        let ts = solve_tabu(&ctx, Objective::MinDelay, &TabuConfig::default()).unwrap();
-        assert!(ts.objective_ms >= exact.objective_ms - 1e-9);
-        assert!(
-            (ts.objective_ms - exact.objective_ms).abs() <= 1e-6 * exact.objective_ms,
-            "tabu missed the optimum on a trivial instance: {} vs {}",
-            ts.objective_ms,
-            exact.objective_ms
-        );
+        let a = solve_tabu(&SolveContext::new(inst, cost()), &TabuConfig::default()).unwrap();
+        let b = solve_tabu(&SolveContext::new(inst, cost()), &TabuConfig::default()).unwrap();
+        assert_eq!(a.assignment, b.assignment);
+        assert_eq!(a.objective_ms.to_bits(), b.objective_ms.to_bits());
     }
 
     #[test]
@@ -280,10 +247,7 @@ mod tests {
         let pipe = pipe4();
         let inst = Instance::new(&net, &pipe, NodeId(0), NodeId(4)).unwrap();
         let ctx = SolveContext::new(inst, cost());
-        let ts = solve_tabu(&ctx, Objective::MinDelay, &TabuConfig::default()).unwrap();
-        let g = greedy::solve_min_delay(ctx.instance(), ctx.cost()).unwrap();
-        assert!(ts.objective_ms <= g.delay_ms + 1e-9);
-        let ts = solve_tabu(&ctx, Objective::MaxRate, &TabuConfig::default()).unwrap();
+        let ts = solve_tabu(&ctx, &TabuConfig::default()).unwrap();
         let g = greedy::solve_max_rate(ctx.instance(), ctx.cost()).unwrap();
         assert!(ts.objective_ms <= g.bottleneck_ms + 1e-9);
     }
@@ -294,7 +258,7 @@ mod tests {
         let pipe = pipe4();
         let inst = Instance::new(&net, &pipe, NodeId(0), NodeId(4)).unwrap();
         let ctx = SolveContext::new(inst, cost());
-        let sol = solve_tabu(&ctx, Objective::MaxRate, &TabuConfig::default()).unwrap();
+        let sol = solve_tabu(&ctx, &TabuConfig::default()).unwrap();
         let mut seen = std::collections::BTreeSet::new();
         for &h in &sol.assignment {
             assert!(seen.insert(h), "host {h} reused in a MaxRate mapping");
@@ -313,7 +277,7 @@ mod tests {
         let inst = Instance::new(&net, &pipe, NodeId(0), NodeId(4)).unwrap();
         let ctx = SolveContext::new(inst, cost());
         assert!(matches!(
-            solve_tabu(&ctx, Objective::MaxRate, &TabuConfig::default()),
+            solve_tabu(&ctx, &TabuConfig::default()),
             Err(MappingError::Infeasible(_))
         ));
     }
@@ -335,14 +299,13 @@ mod tests {
             },
         ] {
             assert!(matches!(
-                solve_tabu(&ctx, Objective::MinDelay, &bad),
+                solve_tabu(&ctx, &bad),
                 Err(MappingError::BadConfig(_))
             ));
         }
         // a zero tenure is legal (plain steepest-admissible walk)
         assert!(solve_tabu(
             &ctx,
-            Objective::MinDelay,
             &TabuConfig {
                 tenure: 0,
                 ..Default::default()
@@ -357,7 +320,7 @@ mod tests {
         let pipe = Pipeline::from_stages(1e5, &[], 1.0).unwrap();
         let inst = Instance::new(&net, &pipe, NodeId(0), NodeId(4)).unwrap();
         let ctx = SolveContext::new(inst, cost());
-        let sol = solve_tabu(&ctx, Objective::MinDelay, &TabuConfig::default()).unwrap();
+        let sol = solve_tabu(&ctx, &TabuConfig::default()).unwrap();
         assert_eq!(sol.assignment, vec![NodeId(0), NodeId(4)]);
     }
 }

@@ -16,16 +16,16 @@
 //! are recorded alongside (`delay_elpc_strict` / `rate_elpc_strict`);
 //! Greedy walks real edges, so its strict and routed values coincide.
 //!
-//! The metaheuristic columns (`delay_anneal`, `delay_genetic`,
-//! `delay_tabu`, `delay_lns`, `rate_anneal`, `rate_genetic`, `rate_tabu`,
-//! `rate_lns` — `elpc_mapping::metaheuristic`, `elpc_mapping::tabu`, and
-//! `elpc_mapping::lns`) search the same
-//! routed free-assignment space, and the **`quality_gap`** columns divide
-//! the best metaheuristic objective by the exact optimum of that space:
-//! `elpc_delay_routed` for delay (optimal by construction) and the
+//! The search columns (`delay_lns`, `rate_anneal`, `rate_genetic`,
+//! `rate_tabu`, `rate_lns` — `elpc_mapping::metaheuristic`,
+//! `elpc_mapping::tabu`, and `elpc_mapping::lns`) search the same routed
+//! free-assignment space, and the **`quality_gap`** columns divide a
+//! search objective by the exact optimum of that space: `delay_lns` over
+//! `elpc_delay_routed` for delay (optimal by construction, which is why
+//! LNS is the only delay search left), and the best rate search over the
 //! budgeted exhaustive `exact::max_rate_routed` for rate. A gap of 1.0
-//! means the metaheuristics matched the optimum; the value is ≥ 1 whenever
-//! both sides solved.
+//! means the search matched the optimum; the value is ≥ 1 whenever both
+//! sides solved.
 //!
 //! The portfolio columns (`delay_portfolio` / `rate_portfolio`) report
 //! what `portfolio_delay` / `portfolio_rate` would return, folded from the
@@ -104,12 +104,6 @@ pub struct CaseResult {
     pub rate_streamline: Outcome,
     /// Greedy bottleneck.
     pub rate_greedy: Outcome,
-    /// Simulated-annealing delay (routed evaluation, seeded-deterministic).
-    pub delay_anneal: Outcome,
-    /// Genetic-algorithm delay (routed evaluation, seeded-deterministic).
-    pub delay_genetic: Outcome,
-    /// Tabu-search delay (routed evaluation, seeded-deterministic).
-    pub delay_tabu: Outcome,
     /// Large-neighborhood-search delay (routed, seeded-deterministic).
     pub delay_lns: Outcome,
     /// Portfolio meta-solver delay (best of the delay slate).
@@ -124,11 +118,11 @@ pub struct CaseResult {
     pub rate_lns: Outcome,
     /// Portfolio meta-solver bottleneck (best of the rate slate).
     pub rate_portfolio: Outcome,
-    /// The delay **quality gap**: best metaheuristic delay divided by the
-    /// exact optimum of the same (routed) search space, `elpc_delay_routed`.
+    /// The delay **quality gap**: the LNS delay divided by the exact
+    /// optimum of the same (routed) search space, `elpc_delay_routed`.
     /// Always ≥ 1 when present; `None` when either side failed to solve.
     pub quality_gap_delay: Option<f64>,
-    /// The rate **quality gap**: best metaheuristic bottleneck divided by
+    /// The rate **quality gap**: best rate-search bottleneck divided by
     /// the exhaustive routed optimum ([`exact::max_rate_routed`]). Always
     /// ≥ 1 when present; `None` when either side failed — in particular
     /// when the exhaustive reference would exceed its enumeration budget
@@ -167,9 +161,6 @@ impl CaseResult {
             "elpc_delay" => &self.delay_elpc_strict,
             "streamline_delay" => &self.delay_streamline,
             "greedy_delay" => &self.delay_greedy,
-            "anneal_delay" => &self.delay_anneal,
-            "genetic_delay" => &self.delay_genetic,
-            "tabu_delay" => &self.delay_tabu,
             "lns_delay" => &self.delay_lns,
             "portfolio_delay" => &self.delay_portfolio,
             "elpc_rate_routed" => &self.rate_elpc,
@@ -187,14 +178,11 @@ impl CaseResult {
 }
 
 /// The registry names behind the [`CaseResult`] columns, in column order.
-pub const CASE_COLUMNS: [&str; 18] = [
+pub const CASE_COLUMNS: [&str; 15] = [
     "elpc_delay_routed",
     "elpc_delay",
     "streamline_delay",
     "greedy_delay",
-    "anneal_delay",
-    "genetic_delay",
-    "tabu_delay",
     "lns_delay",
     "portfolio_delay",
     "elpc_rate_routed",
@@ -213,7 +201,7 @@ pub const CASE_COLUMNS: [&str; 18] = [
 /// larger than this are skipped (the column reads `None`).
 pub const QUALITY_GAP_RATE_BUDGET: usize = 50_000;
 
-/// The smallest solved objective among metaheuristic outcomes, if any.
+/// The smallest solved objective among `outcomes`, if any.
 /// `total_cmp` so a NaN objective (a degenerate cost model) orders last
 /// instead of panicking the comparison.
 fn best_ms(outcomes: &[&Outcome]) -> Option<f64> {
@@ -284,7 +272,7 @@ fn context_for<'a>(
 /// infeasible. This is exactly `portfolio::solve_portfolio`'s collapse
 /// rule, valid because every member is deterministic and
 /// cache-content-independent — the race would recompute bit-identical
-/// member values. It spares the row a second full metaheuristic pass per
+/// member values. It spares the row a second full search pass per
 /// objective; a test pins it equal to the registry entries.
 fn derive_portfolio(row: &CaseResult, slate: &[&str]) -> Outcome {
     let members: Vec<&Outcome> = slate
@@ -305,7 +293,7 @@ fn derive_portfolio(row: &CaseResult, slate: &[&str]) -> Outcome {
     Outcome::Infeasible
 }
 
-/// Runs all eighteen [`CASE_COLUMNS`] solver×objective combinations on one
+/// Runs all fifteen [`CASE_COLUMNS`] solver×objective combinations on one
 /// instance through the registry — plus the exhaustive routed-rate
 /// reference behind the `quality_gap` columns — sharing one metric-closure
 /// context across all of them.
@@ -321,7 +309,7 @@ pub fn run_case_opts(
     bank: Option<&ClosureBank>,
 ) -> CaseResult {
     let ctx = context_for(inst, cost, bank);
-    // the metaheuristics run after the DPs so every candidate evaluation
+    // the searches run after the DPs so every candidate evaluation
     // hits an already-warm metric closure; the portfolio columns are
     // folded from their slates' columns last
     let mut row = CaseResult {
@@ -335,9 +323,6 @@ pub fn run_case_opts(
         rate_elpc_strict: run_solver(&ctx, "elpc_rate"),
         rate_streamline: run_solver(&ctx, "streamline_rate"),
         rate_greedy: run_solver(&ctx, "greedy_rate"),
-        delay_anneal: run_solver(&ctx, "anneal_delay"),
-        delay_genetic: run_solver(&ctx, "genetic_delay"),
-        delay_tabu: run_solver(&ctx, "tabu_delay"),
         delay_lns: run_solver(&ctx, "lns_delay"),
         delay_portfolio: Outcome::Infeasible, // filled below
         rate_anneal: run_solver(&ctx, "anneal_rate"),
@@ -351,18 +336,15 @@ pub fn run_case_opts(
     row.delay_portfolio = derive_portfolio(&row, &portfolio::DELAY_SLATE);
     row.rate_portfolio = derive_portfolio(&row, &portfolio::RATE_SLATE);
     // delay gap: `elpc_delay_routed` is the exact optimum of the routed
-    // free-assignment space the metaheuristics search, so the ratio is a
-    // true optimality gap (≥ 1 up to float noise)
-    row.quality_gap_delay = best_ms(&[
-        &row.delay_anneal,
-        &row.delay_genetic,
-        &row.delay_tabu,
-        &row.delay_lns,
-    ])
-    .zip(row.delay_elpc.ms())
-    .map(|(meta, exact)| meta / exact);
+    // free-assignment space LNS searches, so the ratio is a true
+    // optimality gap (≥ 1 up to float noise)
+    row.quality_gap_delay = row
+        .delay_lns
+        .ms()
+        .zip(row.delay_elpc.ms())
+        .map(|(lns, exact)| lns / exact);
     // rate gap: the exhaustive routed reference, skipped (None) beyond the
-    // enumeration budget — and not run at all when no metaheuristic found
+    // enumeration budget — and not run at all when no rate search found
     // a feasible rate assignment (the numerator drives the enumeration)
     row.quality_gap_rate = best_ms(&[
         &row.rate_anneal,
@@ -471,7 +453,7 @@ mod tests {
                 .expect("small cases always produce a delay gap");
             assert!(
                 gap >= 1.0 - 1e-9,
-                "case {}: delay gap {gap} < 1 — metaheuristic beat the routed optimum",
+                "case {}: delay gap {gap} < 1 — LNS beat the routed optimum",
                 case.number
             );
             if let Some(gap) = row.quality_gap_rate {

@@ -19,7 +19,7 @@
 //! (the one documented caveat of the kept-tree rule) occur with
 //! probability zero.
 
-use elpc_mapping::delta::{partition_stale, repair_closure};
+use elpc_mapping::delta::repair_closure;
 use elpc_mapping::{
     registry, CachedTree, CostModel, DeltaEval, EdgeId, EvalKernel, Instance, MetricClosure,
     MoveSpec, NetworkDelta, NodeId, Objective, SolveContext,
@@ -274,10 +274,7 @@ fn assert_kernels_indistinguishable(
 /// rebuilds must be **bit-identical** to a cold context's kernel — full
 /// evaluations AND delta-applied move sequences — across chained
 /// perturbations (the repaired bank state, not the cold control, carries
-/// into the next step). The previous step's kernel patched via
-/// [`EvalKernel::patched_for_churn`] over `partition_stale`'s verdicts is
-/// held to the same standard, so the O(stale) patch path can never drift
-/// from a from-scratch build.
+/// into the next step).
 #[test]
 fn repaired_context_kernels_are_bit_identical_across_chained_churn() {
     let cost = CostModel::default();
@@ -285,15 +282,13 @@ fn repaired_context_kernels_are_bit_identical_across_chained_churn() {
         let base = instance(topology, 0x6E55);
 
         let bank = ClosureBank::new();
-        let (mut prev_kernel, mut prev_entries) = {
+        {
             let ctx = bank.context_for(base.as_instance(), cost, 1);
             // the kernel build materializes every (payload, source) tree,
             // so the deposit banks the full table the repairs will chew on
-            let kernel = ctx.eval_kernel();
-            let entries = ctx.closure().export();
+            ctx.eval_kernel();
             bank.deposit(&ctx);
-            (kernel, entries)
-        };
+        }
 
         let mut live = base.clone();
         let mut rng = ChaCha8Rng::seed_from_u64(0x6B31 + label.len() as u64);
@@ -310,22 +305,17 @@ fn repaired_context_kernels_are_bit_identical_across_chained_churn() {
             let rebuilt = warm.eval_kernel();
             let reference = cold.eval_kernel();
 
-            let (_, stale) = partition_stale(&prev_entries, &live.network, &cost, &delta);
-            let patched = Arc::new(prev_kernel.patched_for_churn(&warm, &delta, &stale));
-
             assert_kernels_indistinguishable(
                 &format!("{label} step {step}"),
                 &live.as_instance(),
                 &reference,
-                &[("repaired-rebuilt", &rebuilt), ("patched", &patched)],
+                &[("repaired-rebuilt", &rebuilt)],
                 0x4B4E ^ (step as u64) ^ label.len() as u64,
             );
 
-            // chain the REPAIRED state forward; a wrongly kept tree or a
-            // mispatched row would compound into later steps
+            // chain the REPAIRED state forward; a wrongly kept tree would
+            // compound into later steps
             bank.deposit(&warm);
-            prev_entries = warm.closure().export();
-            prev_kernel = rebuilt;
         }
         let stats = bank.stats();
         assert_eq!(

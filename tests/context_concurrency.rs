@@ -80,7 +80,7 @@ fn determinism_solver_outputs_are_warm_up_invariant() {
         "elpc_rate_routed",
         "streamline_delay",
         "streamline_rate",
-        "anneal_delay",
+        "lns_delay",
         "genetic_rate",
     ];
     for seed in 100..120u64 {

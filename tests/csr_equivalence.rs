@@ -194,7 +194,8 @@ proptest! {
     }
 
     /// Registry solvers see the same world whether the closure was warmed
-    /// through the CSR batch path or filled lazily by their own queries.
+    /// through the CSR batch path, filled lazily by their own queries, or
+    /// snapshotted into the dense evaluation kernel before they ran.
     #[test]
     fn solvers_agree_on_cold_and_csr_warmed_contexts(seed in 0u64..2048) {
         let mut spec = InstanceSpec::sized(5, 12, 0);
@@ -213,6 +214,8 @@ proptest! {
         closure.par_warm(&sources, &payloads, 1);
         let warmed = SolveContext::from_shared(inst, Arc::new(closure), 1)
             .expect("closure shares the instance network");
+        let kerneled = SolveContext::new(inst, cost);
+        kerneled.eval_kernel();
 
         for name in [
             "elpc_delay",
@@ -221,21 +224,23 @@ proptest! {
             "streamline_rate",
             "greedy_delay",
             "elpc_delay_routed",
+            "elpc_rate_routed",
         ] {
             let s = solver(name).expect("registered");
             let a = s.solve(&cold);
-            let b = s.solve(&warmed);
-            match (a, b) {
-                (Ok(sa), Ok(sb)) => {
-                    prop_assert_eq!(&sa.assignment, &sb.assignment, "{}", name);
-                    prop_assert_eq!(
-                        sa.objective_ms.to_bits(),
-                        sb.objective_ms.to_bits(),
-                        "{}", name
-                    );
+            for (label, ctx) in [("warmed", &warmed), ("kerneled", &kerneled)] {
+                match (&a, s.solve(ctx)) {
+                    (Ok(sa), Ok(sb)) => {
+                        prop_assert_eq!(&sa.assignment, &sb.assignment, "{} {}", name, label);
+                        prop_assert_eq!(
+                            sa.objective_ms.to_bits(),
+                            sb.objective_ms.to_bits(),
+                            "{} {}", name, label
+                        );
+                    }
+                    (Err(_), Err(_)) => {}
+                    (a, b) => prop_assert!(false, "{name}: cold {a:?} vs {label} {b:?}"),
                 }
-                (Err(_), Err(_)) => {}
-                (a, b) => prop_assert!(false, "{name}: cold {a:?} vs warmed {b:?}"),
             }
         }
     }

@@ -76,8 +76,6 @@ fn case_rows_are_backed_by_the_registry() {
     assert_eq!(&row.rate_elpc_strict, by_name("elpc_rate"));
     assert_eq!(&row.rate_streamline, by_name("streamline_rate"));
     assert_eq!(&row.rate_greedy, by_name("greedy_rate"));
-    assert_eq!(&row.delay_anneal, by_name("anneal_delay"));
-    assert_eq!(&row.delay_genetic, by_name("genetic_delay"));
     assert_eq!(&row.rate_anneal, by_name("anneal_rate"));
     assert_eq!(&row.rate_genetic, by_name("genetic_rate"));
 }

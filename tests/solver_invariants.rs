@@ -44,7 +44,7 @@ fn eps(reference: f64) -> f64 {
 
 #[test]
 fn every_registry_solver_respects_the_routed_references() {
-    assert_eq!(registry().len(), 20, "the ISSUE 9 registry has 20 entries");
+    assert_eq!(registry().len(), 17, "the registry has 17 entries");
     let mut delay_checks = 0usize;
     let mut rate_checks = 0usize;
     let mut solves = 0usize;
@@ -160,6 +160,41 @@ fn portfolio_entries_are_bit_identical_across_thread_counts() {
                 }
                 other => panic!("seed {seed}, {name}: divergent feasibility {other:?}"),
             }
+        }
+    }
+}
+
+/// Why `lns_delay` races in `portfolio_delay`: a served delay race is the
+/// request that banks a closure, and the slate's kernel-backed member warms
+/// every source at every boundary payload. After one race on a fresh
+/// context, every delay entry of the registry solving over that closure
+/// must find all its trees there — the closure's `misses` never move.
+#[test]
+fn portfolio_delay_leaves_a_closure_every_delay_solver_hits() {
+    for (i, (nodes, links)) in [(9, 20), (60, 150), (200, 460)].into_iter().enumerate() {
+        let owned = InstanceSpec::sized(5, nodes, links)
+            .generate(0x5EED + i as u64)
+            .unwrap();
+        let inst = owned.as_instance();
+        let raced = SolveContext::new(inst, cost());
+        solver("portfolio_delay")
+            .expect("registered")
+            .solve(&raced)
+            .expect("sized instances are delay-feasible");
+        let misses = raced.closure().stats().misses;
+        for s in registry()
+            .iter()
+            .filter(|s| s.objective() == Objective::MinDelay)
+        {
+            let ctx =
+                SolveContext::from_shared(inst, raced.closure_arc(), 1).expect("same network");
+            let _ = s.solve(&ctx);
+            assert_eq!(
+                raced.closure().stats().misses,
+                misses,
+                "{nodes} nodes: `{}` built a tree the race left out",
+                s.name()
+            );
         }
     }
 }
