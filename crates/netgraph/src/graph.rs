@@ -36,12 +36,45 @@ pub struct Neighbor {
 /// symmetric pair of directed edges created by
 /// [`Graph::add_undirected_edge`]; directed graphs are also fully supported
 /// because the DAG-workflow extension (§5 future work) needs them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Deserialization rebuilds the adjacency from the edge list and refuses a
+/// document whose `out` lists disagree with it, or whose edges name a node
+/// that does not exist, so a decoded graph upholds the same invariants as
+/// a built one.
+#[derive(Debug, Clone, Serialize)]
 pub struct Graph<N, E> {
     nodes: Vec<N>,
     edges: Vec<Edge<E>>,
     /// `out[v]` lists the ids of edges with `src == v`.
     out: Vec<Vec<EdgeId>>,
+}
+
+/// [`Graph`]'s serialized fields, before they are checked.
+#[derive(Deserialize)]
+struct GraphParts<N, E> {
+    nodes: Vec<N>,
+    edges: Vec<Edge<E>>,
+    out: Vec<Vec<EdgeId>>,
+}
+
+impl<N: Deserialize, E: Deserialize> Deserialize for Graph<N, E> {
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
+        let parts = GraphParts::<N, E>::from_value(v)?;
+        let mut g = Graph::with_capacity(parts.nodes.len(), parts.edges.len());
+        for n in parts.nodes {
+            g.add_node(n);
+        }
+        for (i, e) in parts.edges.into_iter().enumerate() {
+            g.add_edge(e.src, e.dst, e.payload)
+                .map_err(|err| serde::Error(format!("edge {i}: {err}")))?;
+        }
+        if g.out != parts.out {
+            return Err(serde::Error(
+                "`out` does not list each node's out-edges in edge-id order".into(),
+            ));
+        }
+        Ok(g)
+    }
 }
 
 impl<N, E> Default for Graph<N, E> {
@@ -393,6 +426,24 @@ mod tests {
             g2.neighbors(NodeId(1)).count(),
             g.neighbors(NodeId(1)).count()
         );
+    }
+
+    #[test]
+    fn deserialize_refuses_out_lists_that_disagree_with_the_edges() {
+        let json = serde_json::to_string(&triangle()).unwrap();
+        let hostile = json.replacen("\"out\":[[", "\"out\":[[9999,", 1);
+        assert_ne!(hostile, json, "the probe must hit the out lists");
+        let err = serde_json::from_str::<Graph<String, f64>>(&hostile).unwrap_err();
+        assert!(err.to_string().contains("`out`"), "{err}");
+        // an edge naming a node that does not exist is refused too
+        let mut g: Graph<String, f64> = Graph::new();
+        g.add_node("a".into());
+        let bad = serde_json::to_string(&g).unwrap().replace(
+            "\"edges\":[]",
+            "\"edges\":[{\"src\":0,\"dst\":7,\"payload\":1.0}]",
+        );
+        let err = serde_json::from_str::<Graph<String, f64>>(&bad).unwrap_err();
+        assert!(err.to_string().contains("edge 0"), "{err}");
     }
 
     #[test]

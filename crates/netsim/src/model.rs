@@ -194,40 +194,42 @@ impl Network {
             return Err(NetworkError::Invalid("network has no nodes".into()));
         }
         for (id, n) in self.graph.nodes() {
-            if !(n.power >= 0.0) || !n.power.is_finite() {
-                return Err(NetworkError::BadNodeParameter {
-                    node: id,
-                    reason: format!(
-                        "power must be positive and finite (or exactly 0 = failed), got {}",
-                        n.power
-                    ),
-                });
-            }
+            check_node_parameters(id, n)?;
         }
         for (_, e) in self.graph.edges() {
-            if !(e.payload.bw_mbps >= 0.0) || !e.payload.bw_mbps.is_finite() {
-                return Err(NetworkError::BadLinkParameter {
-                    endpoints: (e.src, e.dst),
-                    reason: format!(
-                        "bandwidth must be positive and finite (or exactly 0 = failed), got {}",
-                        e.payload.bw_mbps
-                    ),
-                });
-            }
-            if !(e.payload.mld_ms >= 0.0) || !e.payload.mld_ms.is_finite() {
-                return Err(NetworkError::BadLinkParameter {
-                    endpoints: (e.src, e.dst),
-                    reason: format!(
-                        "MLD must be non-negative and finite, got {}",
-                        e.payload.mld_ms
-                    ),
-                });
-            }
+            check_link_parameters(e.src, e.dst, &e.payload)?;
         }
         if !self.is_connected() {
             return Err(NetworkError::Invalid("network is not connected".into()));
         }
         Ok(())
+    }
+
+    /// Rebuilds a network from its parts: the nodes in id order, the
+    /// directed edges in edge-id order, and the undirected link count.
+    ///
+    /// Adjacency is derived, never taken as given: each edge is appended in
+    /// order, so edge ids, out-lists and [`Network::fingerprint`] equal those
+    /// of the network the parts were read from. Every parameter must pass
+    /// [`Network::validate`]'s rules (finite and non-negative, `0.0` being
+    /// the failure sentinel) and every endpoint must name a node; an error
+    /// names the first part that does not. Connectivity is *not* checked, so
+    /// a disconnected network rebuilds and its solves report infeasibility.
+    pub fn from_parts(
+        nodes: Vec<Node>,
+        edges: impl ExactSizeIterator<Item = (NodeId, NodeId, Link)>,
+        links: usize,
+    ) -> Result<Network> {
+        let mut graph = Graph::with_capacity(nodes.len(), edges.len());
+        for node in nodes {
+            check_node_parameters(NodeId::from_index(graph.node_count()), &node)?;
+            graph.add_node(node);
+        }
+        for (src, dst, link) in edges {
+            check_link_parameters(src, dst, &link)?;
+            graph.add_edge(src, dst, link)?;
+        }
+        Ok(Network { graph, links })
     }
 
     /// A structural fingerprint of the network: an FNV-1a hash over the
@@ -328,6 +330,43 @@ impl Network {
     pub fn node_is_failed(&self, node: NodeId) -> bool {
         self.power(node) == 0.0
     }
+}
+
+/// [`Network::validate`]'s rule for a node: power finite and non-negative
+/// (exactly `0.0` is the crash sentinel).
+fn check_node_parameters(id: NodeId, n: &Node) -> Result<()> {
+    if !(n.power >= 0.0) || !n.power.is_finite() {
+        return Err(NetworkError::BadNodeParameter {
+            node: id,
+            reason: format!(
+                "power must be positive and finite (or exactly 0 = failed), got {}",
+                n.power
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// [`Network::validate`]'s rule for a directed edge: bandwidth finite and
+/// non-negative (exactly `0.0` is the cut sentinel), MLD finite and
+/// non-negative.
+fn check_link_parameters(src: NodeId, dst: NodeId, link: &Link) -> Result<()> {
+    if !(link.bw_mbps >= 0.0) || !link.bw_mbps.is_finite() {
+        return Err(NetworkError::BadLinkParameter {
+            endpoints: (src, dst),
+            reason: format!(
+                "bandwidth must be positive and finite (or exactly 0 = failed), got {}",
+                link.bw_mbps
+            ),
+        });
+    }
+    if !(link.mld_ms >= 0.0) || !link.mld_ms.is_finite() {
+        return Err(NetworkError::BadLinkParameter {
+            endpoints: (src, dst),
+            reason: format!("MLD must be non-negative and finite, got {}", link.mld_ms),
+        });
+    }
+    Ok(())
 }
 
 /// Incremental builder for [`Network`], with parameter validation at each
@@ -627,6 +666,70 @@ mod tests {
         let mut net = chain();
         net.link_mut(EdgeId(0)).unwrap().bw_mbps = f64::INFINITY;
         assert!(net.validate().is_err());
+    }
+
+    /// The parts of `net`, as a reader of its serialized form sees them.
+    fn parts(net: &Network) -> (Vec<Node>, Vec<(NodeId, NodeId, Link)>) {
+        let nodes = net.graph().nodes().map(|(_, n)| n.clone()).collect();
+        let edges = net
+            .graph()
+            .edges()
+            .map(|(_, e)| (e.src, e.dst, e.payload.clone()))
+            .collect();
+        (nodes, edges)
+    }
+
+    #[test]
+    fn from_parts_rebuilds_ids_adjacency_and_fingerprint() {
+        let mut net = chain();
+        net.link_mut(EdgeId(1)).unwrap().bw_mbps = 7.0; // one direction only
+        net.fail_node(NodeId(2)).unwrap();
+        let (nodes, edges) = parts(&net);
+        let back = Network::from_parts(nodes, edges.into_iter(), net.link_count()).unwrap();
+        assert_eq!(back.fingerprint(), net.fingerprint());
+        assert_eq!(back.link_count(), 2);
+        for v in net.node_ids() {
+            let a: Vec<_> = net.neighbors(v).collect();
+            let b: Vec<_> = back.neighbors(v).collect();
+            assert_eq!(a, b, "out-list of {v}");
+        }
+    }
+
+    #[test]
+    fn from_parts_refuses_bad_endpoints_and_parameters_but_not_disconnection() {
+        let (nodes, edges) = parts(&chain());
+        let with_edge = |e: (NodeId, NodeId, Link)| {
+            let mut edges = edges.clone();
+            edges[2] = e;
+            Network::from_parts(nodes.clone(), edges.into_iter(), 2)
+        };
+        assert!(matches!(
+            with_edge((NodeId(1), NodeId(9), Link::new(1.0, 0.0))),
+            Err(NetworkError::Graph(_))
+        ));
+        assert!(matches!(
+            with_edge((NodeId(1), NodeId(1), Link::new(1.0, 0.0))),
+            Err(NetworkError::Graph(_))
+        ));
+        for (bw, mld) in [
+            (f64::NAN, 0.0),
+            (-1.0, 0.0),
+            (1.0, f64::INFINITY),
+            (1.0, -0.5),
+        ] {
+            assert!(matches!(
+                with_edge((NodeId(1), NodeId(2), Link::new(bw, mld))),
+                Err(NetworkError::BadLinkParameter { .. })
+            ));
+        }
+        let mut bad = nodes.clone();
+        bad[1].power = f64::NEG_INFINITY;
+        assert!(matches!(
+            Network::from_parts(bad, edges.clone().into_iter(), 2),
+            Err(NetworkError::BadNodeParameter { .. })
+        ));
+        let islands = Network::from_parts(nodes, std::iter::empty(), 0).unwrap();
+        assert!(!islands.is_connected());
     }
 
     #[test]

@@ -293,8 +293,8 @@ impl Client {
         self.ensure_connected()?;
         let id = self.next_id;
         self.next_id += 1;
-        let json = encode_request(&RequestFrame { id, body });
-        if let Err(e) = write_frame(&mut self.stream, json.as_bytes()) {
+        let payload = encode_request(&RequestFrame { id, body });
+        if let Err(e) = write_frame(&mut self.stream, payload.as_bytes()) {
             self.broken = true;
             return Err(e.into());
         }

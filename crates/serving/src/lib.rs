@@ -2,7 +2,8 @@
 //!
 //! The ops layer over the solver library: a long-running daemon
 //! (`elpc-serve`) that accepts solve/remap requests over a length-prefixed
-//! JSON protocol on a local Unix socket, multiplexes them onto a
+//! protocol (JSON headers; an inline network travels as a binary section)
+//! on a local Unix socket, multiplexes them onto a
 //! work-pulling worker pool sharing one [`elpc_workloads::ClosureBank`],
 //! and **coalesces** concurrent requests hitting the same topology
 //! fingerprint × cost model so each all-pairs closure is built exactly
@@ -26,7 +27,7 @@
 //! request relies on.
 //!
 //! Solver execution stays decoupled from the request lifecycle: workers
-//! run the unchanged 18-entry `elpc_mapping` registry against bank-seeded
+//! run the unchanged `elpc_mapping` registry against bank-seeded
 //! [`elpc_mapping::SolveContext`]s, so a served solve is bit-identical to
 //! calling the registry directly (the loopback suite pins this).
 //!
@@ -45,7 +46,7 @@ pub mod server;
 pub use client::{Client, ClientError, RetryPolicy};
 pub use loadgen::{LoadConfig, LoadReport};
 pub use protocol::{
-    FrameError, KeyedRemapRequest, KeyedSolveRequest, RemapReply, RemapRequest, Request,
+    BodyError, FrameError, KeyedRemapRequest, KeyedSolveRequest, RemapReply, RemapRequest, Request,
     RequestFrame, Response, ResponseFrame, ServeError, SolveErrorKind, SolveReply, SolveRequest,
     StatsReply,
 };

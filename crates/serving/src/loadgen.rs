@@ -191,12 +191,12 @@ pub fn run_open_loop(
                                 instance: instances[k % instances.len()].clone(),
                             });
                             let frame = RequestFrame { id: k as u64, body };
-                            let json = encode_request(&frame);
+                            let payload = encode_request(&frame);
                             in_flight
                                 .lock()
                                 .unwrap_or_else(|e| e.into_inner())
                                 .insert(frame.id, Instant::now());
-                            if write_frame(&mut w, json.as_bytes()).is_err() {
+                            if write_frame(&mut w, payload.as_bytes()).is_err() {
                                 break;
                             }
                             sent.fetch_add(1, Ordering::Relaxed);

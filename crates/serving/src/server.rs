@@ -46,9 +46,9 @@
 
 use crate::keyset::KeySet;
 use crate::protocol::{
-    decode_request, encode_response, percentile, read_frame_poll, write_frame, KeyedRemapRequest,
-    KeyedSolveRequest, LatencySummary, RemapReply, Request, Response, ResponseFrame, ServeError,
-    SolveFailure, SolveReply, SolveRequest, StatsReply,
+    decode_request, encode_response, percentile, read_frame_poll, write_frame, FrameError,
+    KeyedRemapRequest, KeyedSolveRequest, LatencySummary, RemapReply, Request, Response,
+    ResponseFrame, ServeError, SolveFailure, SolveReply, SolveRequest, StatsReply,
 };
 use crossbeam::channel;
 use elpc_mapping::{solver, Instance, NetworkDelta, NodeId};
@@ -469,10 +469,15 @@ fn connection_loop(shared: &Arc<Shared>, stream: UnixStream) {
             Ok(f) => f,
             Err(e) => {
                 // The frame boundary is intact, so answer the typed error
-                // (id 0: the real id is unrecoverable) and keep serving.
+                // and keep serving: under the request's id when its header
+                // decoded, else id 0 (the real id is unrecoverable).
+                let id = match e {
+                    FrameError::Body { id, .. } => id,
+                    _ => 0,
+                };
                 respond(
                     &writer,
-                    0,
+                    id,
                     Response::Error(ServeError::Malformed {
                         detail: e.to_string(),
                     }),

@@ -5,20 +5,27 @@
 //! * **round trips** — arbitrary solve/remap requests (inline and keyed)
 //!   and every response variant (including each typed error)
 //!   encode→decode bit-identically:
-//!   decoding and re-encoding reproduces the exact JSON payload, and where
+//!   decoding and re-encoding reproduces the exact payload bytes, and where
 //!   the types carry `PartialEq` the decoded value equals the original;
 //! * **hostile input** — arbitrary byte soup, truncated frames, and
 //!   corrupt length prefixes must come back as typed [`FrameError`]s,
 //!   never a panic.
+//!
+//! A third family pins the binary network section of inline requests: every
+//! node and edge bit pattern, the out-lists, the link count, the node
+//! strings and the fingerprint survive a round trip, and hand-written
+//! hostile sections (huge counts, bad parameters, dangling endpoints,
+//! truncation, byte flips) come back as typed [`BodyError`]s.
 
 use elpc_mapping::{CostModel, LinkPerturbation, NetworkDelta, NodeId, NodePerturbation};
 use elpc_netgraph::EdgeId;
-use elpc_netsim::Link;
+use elpc_netgraph::GraphError;
+use elpc_netsim::{Link, Network, NetworkError};
 use elpc_serving::protocol::{
     decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    FrameError, KeyedRemapRequest, KeyedSolveRequest, LatencySummary, RemapReply, RemapRequest,
-    Request, RequestFrame, Response, ResponseFrame, ServeError, SolveErrorKind, SolveFailure,
-    SolveReply, SolveRequest, StatsReply, MAX_FRAME_LEN,
+    BodyError, FrameError, KeyedRemapRequest, KeyedSolveRequest, LatencySummary, RemapReply,
+    RemapRequest, Request, RequestFrame, Response, ResponseFrame, ServeError, SolveErrorKind,
+    SolveFailure, SolveReply, SolveRequest, StatsReply, MAX_FRAME_LEN,
 };
 use elpc_workloads::{InstanceSpec, ProblemInstance};
 use proptest::prelude::*;
@@ -514,4 +521,365 @@ fn max_prefix_is_rejected_cheaply() {
         read_frame(&mut r),
         Err(FrameError::TooLarge { .. })
     ));
+}
+
+// ---------------------------------------------------------------------------
+// Binary network sections
+// ---------------------------------------------------------------------------
+
+/// Instances whose networks stress the binary section: generated, then
+/// perturbed in one direction only through `link_mut`, failed through the
+/// sentinels, given `-0.0` and subnormal parameters, and labelled with
+/// JSON-hostile node strings.
+fn arb_edited_instance() -> impl Strategy<Value = ProblemInstance> {
+    (
+        arb_instance(),
+        prop::collection::vec((any::<u32>(), 0u8..7, arb_finite_f64()), 0..10),
+        prop::collection::vec((any::<u32>(), arb_string(), any::<bool>()), 0..4),
+    )
+        .prop_map(|(mut inst, edits, labels)| {
+            let net = &mut inst.network;
+            let n = net.node_count() as u32;
+            let e = net.graph().edge_count() as u32;
+            for (at, op, x) in edits {
+                let (node, edge) = (NodeId(at % n), EdgeId(at % e));
+                match op {
+                    0 => net.link_mut(edge).unwrap().bw_mbps = x.abs(),
+                    1 => net.link_mut(edge).unwrap().mld_ms = -0.0,
+                    2 => net.node_mut(node).unwrap().power = f64::from_bits(1 + u64::from(at)),
+                    3 => net.link_mut(edge).unwrap().bw_mbps = f64::MIN_POSITIVE / 2.0,
+                    4 => {
+                        net.fail_link_symmetric(edge).unwrap();
+                    }
+                    5 => {
+                        net.fail_node(node).unwrap();
+                    }
+                    _ => net.node_mut(node).unwrap().power = -0.0,
+                }
+            }
+            for (at, text, as_ip) in labels {
+                let node = net.node_mut(NodeId(at % n)).unwrap();
+                if as_ip {
+                    node.ip = Some(text);
+                } else {
+                    node.name = Some(text);
+                }
+            }
+            inst
+        })
+}
+
+fn inline_solve(instance: ProblemInstance) -> SolveRequest {
+    SolveRequest {
+        solver: "elpc_delay_routed".into(),
+        cost: CostModel::default(),
+        threads: 1,
+        timeout_ms: Some(250),
+        instance,
+    }
+}
+
+/// The network an inline request carries.
+fn inline_network(body: &Request) -> &Network {
+    match body {
+        Request::Solve(s) => &s.instance.network,
+        Request::Remap(r) => &r.solve.instance.network,
+        other => panic!("{other:?} carries no network"),
+    }
+}
+
+/// Every bit the solvers, the bank key and the reports read.
+fn assert_same_network(got: &Network, want: &Network) {
+    let (g, w) = (got.graph(), want.graph());
+    assert_eq!(g.node_count(), w.node_count());
+    for ((_, a), (_, b)) in g.nodes().zip(w.nodes()) {
+        assert_eq!(a.power.to_bits(), b.power.to_bits());
+        assert_eq!((&a.ip, &a.name), (&b.ip, &b.name));
+    }
+    assert_eq!(g.edge_count(), w.edge_count());
+    for ((_, a), (_, b)) in g.edges().zip(w.edges()) {
+        assert_eq!((a.src, a.dst), (b.src, b.dst));
+        assert_eq!(a.payload.bw_mbps.to_bits(), b.payload.bw_mbps.to_bits());
+        assert_eq!(a.payload.mld_ms.to_bits(), b.payload.mld_ms.to_bits());
+    }
+    for v in w.node_ids() {
+        assert!(g.neighbors(v).eq(w.neighbors(v)), "out-list of {v}");
+    }
+    assert_eq!(got.link_count(), want.link_count());
+    assert_eq!(got.fingerprint(), want.fingerprint());
+}
+
+/// Splits an inline payload into its JSON header and its network section.
+fn split_section(payload: &[u8]) -> (&[u8], &[u8]) {
+    let at = payload
+        .iter()
+        .position(|&b| b == 0)
+        .expect("inline payload");
+    (&payload[..at], &payload[at + 1..])
+}
+
+/// A valid inline `Solve` header followed by `section`.
+fn with_section(section: &[u8]) -> Vec<u8> {
+    let inst = InstanceSpec::sized(3, 6, 8).generate(5).expect("gen");
+    let payload = encode_request(&RequestFrame {
+        id: 9,
+        body: Request::Solve(inline_solve(inst)),
+    });
+    let (header, _) = split_section(payload.as_bytes());
+    [header, &[0], section].concat()
+}
+
+/// A network section written field by field in the documented layout,
+/// with no node strings.
+fn section(powers: &[f64], edges: &[(u32, u32, f64, f64)], links: u64) -> Vec<u8> {
+    let mut b = (powers.len() as u32).to_le_bytes().to_vec();
+    for p in powers {
+        b.extend(p.to_bits().to_le_bytes());
+        b.extend([0, 0]); // no ip, no name
+    }
+    b.extend((edges.len() as u32).to_le_bytes());
+    for &(src, dst, bw, mld) in edges {
+        b.extend(src.to_le_bytes());
+        b.extend(dst.to_le_bytes());
+        b.extend(bw.to_bits().to_le_bytes());
+        b.extend(mld.to_bits().to_le_bytes());
+    }
+    b.extend(links.to_le_bytes());
+    b
+}
+
+/// Two nodes, one healthy link.
+fn pair_section() -> Vec<u8> {
+    section(&[2.0, 3.0], &[(0, 1, 10.0, 0.5), (1, 0, 10.0, 0.5)], 1)
+}
+
+fn body_error(payload: &[u8]) -> BodyError {
+    match decode_request(payload) {
+        Err(FrameError::Body { error, .. }) => error,
+        other => panic!("expected a network-section error, got {other:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Solve and Remap frames carry their network bit for bit.
+    #[test]
+    fn inline_networks_roundtrip_bit_for_bit(
+        id in any::<u64>(),
+        inst in arb_edited_instance(),
+        remap in any::<bool>(),
+    ) {
+        let want = inst.network.clone();
+        let solve = inline_solve(inst);
+        let body = if remap {
+            Request::Remap(RemapRequest {
+                solve,
+                previous: vec![NodeId(0)],
+                previous_key: Some(id),
+                delta: None,
+            })
+        } else {
+            Request::Solve(solve)
+        };
+        let payload = encode_request(&RequestFrame { id, body });
+        let decoded = decode_request(payload.as_bytes()).expect("own encoding decodes");
+        prop_assert_eq!(decoded.id, id);
+        assert_same_network(inline_network(&decoded.body), &want);
+        prop_assert_eq!(encode_request(&decoded), payload);
+    }
+
+    /// Cutting an inline payload anywhere is a typed error; a cut inside the
+    /// network section is an overrun.
+    #[test]
+    fn truncated_sections_are_typed_overruns(inst in arb_edited_instance(), cut in any::<u64>()) {
+        let payload = encode_request(&RequestFrame { id: 1, body: Request::Solve(inline_solve(inst)) });
+        let bytes = payload.as_bytes();
+        let header = split_section(bytes).0.len();
+        let cut = (cut % bytes.len() as u64) as usize;
+        match decode_request(&bytes[..cut]) {
+            Err(FrameError::Body { id, error: BodyError::Overrun { needed, remaining } }) => {
+                prop_assert_eq!(id, 1);
+                prop_assert!(cut > header);
+                prop_assert!(needed > remaining);
+            }
+            Err(FrameError::Body { error: BodyError::MissingNetwork, .. }) => {
+                prop_assert_eq!(cut, header)
+            }
+            Err(FrameError::Json(_)) => prop_assert!(cut < header),
+            other => panic!("cut at {cut} of {} decoded as {other:?}", bytes.len()),
+        }
+    }
+
+    /// Flipping any byte of a section gives a typed error or a network that
+    /// re-encodes to exactly the flipped bytes: nothing is read loosely.
+    #[test]
+    fn flipped_section_bytes_decode_faithfully_or_not_at_all(
+        inst in arb_edited_instance(),
+        at in any::<u64>(),
+        xor in 1u8..=255,
+    ) {
+        let payload = encode_request(&RequestFrame { id: 2, body: Request::Solve(inline_solve(inst)) });
+        let mut bytes = payload.into_bytes();
+        let header = split_section(&bytes).0.len();
+        let at = header + 1 + (at % (bytes.len() - header - 1) as u64) as usize;
+        bytes[at] ^= xor;
+        match decode_request(&bytes) {
+            Ok(frame) => prop_assert_eq!(encode_request(&frame).into_bytes(), bytes),
+            Err(FrameError::Body { .. }) => {}
+            Err(e) => panic!("a flipped section byte gave {e}"),
+        }
+    }
+
+    /// Arbitrary bytes as a section: typed error or a faithful network.
+    #[test]
+    fn arbitrary_sections_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..160)) {
+        let payload = with_section(&bytes);
+        match decode_request(&payload) {
+            Ok(frame) => prop_assert_eq!(encode_request(&frame).into_bytes(), payload),
+            Err(FrameError::Body { .. }) => {}
+            Err(e) => panic!("an arbitrary section gave {e}"),
+        }
+    }
+}
+
+#[test]
+fn the_section_layout_is_the_documented_one() {
+    let mut b = Network::builder();
+    let a = b.add_node(2.0).unwrap();
+    let c = b.add_node(3.0).unwrap();
+    b.add_link(a, c, 10.0, 0.5).unwrap();
+    let mut net = b.build().unwrap();
+    let inst = ProblemInstance {
+        network: net.clone(),
+        ..InstanceSpec::sized(3, 6, 8).generate(5).expect("gen")
+    };
+    let payload = encode_request(&RequestFrame {
+        id: 9,
+        body: Request::Solve(inline_solve(inst.clone())),
+    });
+    assert_eq!(payload.as_bytes(), with_section(&pair_section()));
+    // a node string is a presence byte, a u32 length and the UTF-8 bytes
+    net.node_mut(NodeId(1)).unwrap().name = Some("é\"".into());
+    let payload = encode_request(&RequestFrame {
+        id: 9,
+        body: Request::Solve(inline_solve(ProblemInstance {
+            network: net,
+            ..inst
+        })),
+    });
+    let mut want = pair_section();
+    want.splice(
+        4 + 10 + 8 + 1..4 + 10 + 8 + 2,
+        [1, 3, 0, 0, 0, 0xC3, 0xA9, b'"'],
+    );
+    assert_eq!(split_section(payload.as_bytes()).1, &want[..]);
+}
+
+#[test]
+fn huge_counts_are_refused_before_allocation() {
+    let node_count = [u32::MAX.to_le_bytes().as_slice(), &[0; 12]].concat();
+    assert!(matches!(
+        body_error(&with_section(&node_count)),
+        BodyError::Overrun { needed, remaining: 12 } if needed == u32::MAX as usize * 10
+    ));
+    let mut edge_count = section(&[1.0], &[], 0);
+    edge_count[14..18].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert!(matches!(
+        body_error(&with_section(&edge_count)),
+        BodyError::Overrun { needed, remaining: 8 } if needed == u32::MAX as usize * 24
+    ));
+    let mut string_len = section(&[1.0], &[], 0);
+    string_len.splice(12..13, [1, 0xFF, 0xFF, 0xFF, 0xFF]);
+    assert!(matches!(
+        body_error(&with_section(&string_len)),
+        BodyError::Overrun { needed, .. } if needed == u32::MAX as usize
+    ));
+}
+
+#[test]
+fn non_finite_and_negative_parameters_are_typed_errors() {
+    for bad in [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -1.0,
+        -f64::MIN_POSITIVE,
+    ] {
+        let power = section(&[bad, 3.0], &[(0, 1, 10.0, 0.5), (1, 0, 10.0, 0.5)], 1);
+        assert!(matches!(
+            body_error(&with_section(&power)),
+            BodyError::Network(NetworkError::BadNodeParameter { .. })
+        ));
+        for (bw, mld) in [(bad, 0.5), (10.0, bad)] {
+            let link = section(&[2.0, 3.0], &[(0, 1, 10.0, 0.5), (1, 0, bw, mld)], 1);
+            assert!(matches!(
+                body_error(&with_section(&link)),
+                BodyError::Network(NetworkError::BadLinkParameter { .. })
+            ));
+        }
+    }
+}
+
+#[test]
+fn structural_faults_in_a_section_are_typed_errors() {
+    let dangling = section(&[2.0, 3.0], &[(0, 1, 10.0, 0.5), (1, 9999, 10.0, 0.5)], 1);
+    assert!(
+        matches!(
+            decode_request(&with_section(&dangling)),
+            Err(FrameError::Body { id: 9, .. })
+        ),
+        "a section error keeps the id its header decoded"
+    );
+    assert!(matches!(
+        body_error(&with_section(&dangling)),
+        BodyError::Network(NetworkError::Graph(GraphError::NodeOutOfBounds { .. }))
+    ));
+    let self_loop = section(&[2.0, 3.0], &[(1, 1, 10.0, 0.5)], 1);
+    assert!(matches!(
+        body_error(&with_section(&self_loop)),
+        BodyError::Network(NetworkError::Graph(GraphError::SelfLoop(_)))
+    ));
+    let mut presence = pair_section();
+    presence[12] = 2;
+    assert_eq!(body_error(&with_section(&presence)), BodyError::Presence(2));
+    let mut utf8 = pair_section();
+    utf8.splice(12..13, [1, 2, 0, 0, 0, 0xC3, 0x28]);
+    assert_eq!(body_error(&with_section(&utf8)), BodyError::Utf8);
+    let trailing = [pair_section(), vec![7, 7, 7]].concat();
+    assert_eq!(
+        body_error(&with_section(&trailing)),
+        BodyError::Trailing { bytes: 3 }
+    );
+}
+
+#[test]
+fn sections_must_match_what_the_header_carries() {
+    let solve = with_section(&pair_section());
+    let header = split_section(&solve).0;
+    assert_eq!(body_error(header), BodyError::MissingNetwork);
+    let ping = encode_request(&RequestFrame {
+        id: 1,
+        body: Request::Ping,
+    });
+    let ping_with_section = [ping.as_bytes(), &[0], &pair_section()].concat();
+    assert_eq!(body_error(&ping_with_section), BodyError::UnexpectedNetwork);
+    // the JSON network encoding is gone from the wire: a Solve whose
+    // network is spelled in its JSON is refused
+    let inst = InstanceSpec::sized(3, 6, 8).generate(5).expect("gen");
+    let legacy = format!(
+        r#"{{"id":1,"body":{{"Solve":{{"solver":"elpc_delay_routed","cost":{},"threads":1,"timeout_ms":null,"instance":{}}}}}}}"#,
+        serde_json::to_string(&CostModel::default()).unwrap(),
+        serde_json::to_string(&inst).unwrap(),
+    );
+    assert_eq!(body_error(legacy.as_bytes()), BodyError::MissingNetwork);
+}
+
+#[test]
+fn disconnected_networks_decode_for_the_solvers_to_refuse() {
+    let islands = section(&[2.0, 3.0, 4.0], &[(0, 1, 10.0, 0.5), (1, 0, 10.0, 0.5)], 1);
+    let frame = decode_request(&with_section(&islands)).expect("decodes");
+    let net = inline_network(&frame.body);
+    assert_eq!(net.node_count(), 3);
+    assert!(!net.is_connected());
 }

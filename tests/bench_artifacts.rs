@@ -501,3 +501,46 @@ fn all_committed_bench_artifacts_parse() {
     }
     assert!(seen >= 9, "expected the committed artifact set, saw {seen}");
 }
+
+#[test]
+fn solver_named_rows_name_registered_solvers() {
+    // criterion-shim rows `<kind>/<solver>` time one registry entry; a row
+    // whose solver has been deleted measures nothing that still exists
+    const SOLVER_KINDS: [&str; 5] = ["member", "equal_budget", "cold", "warm", "reference_warm"];
+    #[derive(Debug, Deserialize)]
+    struct Row {
+        id: String,
+    }
+    #[derive(Debug, Deserialize)]
+    struct Group {
+        benchmarks: Vec<Row>,
+    }
+    let mut checked = 0;
+    for entry in std::fs::read_dir(bench_dir()).expect("bench dir exists") {
+        let path = entry.expect("dir entry").path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("artifact readable");
+        if !text.contains("\"benchmarks\"") {
+            continue; // a hand-rolled `rows[]` artifact
+        }
+        let group: Group =
+            serde_json::from_str(&text).unwrap_or_else(|e| panic!("{name} parses: {e}"));
+        for row in &group.benchmarks {
+            let Some((kind, solver)) = row.id.split_once('/') else {
+                continue;
+            };
+            if SOLVER_KINDS.contains(&kind) {
+                checked += 1;
+                assert!(
+                    elpc_mapping::solver(solver).is_some(),
+                    "{name}: row {} names a solver the registry no longer has",
+                    row.id
+                );
+            }
+        }
+    }
+    assert!(checked > 0, "the solver-named rows were found");
+}

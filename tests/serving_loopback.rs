@@ -13,12 +13,16 @@
 //! exactly what the inline one does, and every way a key can go stale —
 //! eviction, a daemon restart, a hostile or mismatched keyed remap — ends
 //! in a typed refusal and an inline answer, with the ledger still exact.
+//! An inline network that names a node it does not have, or breaks a
+//! parameter rule, is refused as `Malformed` under its request's id when
+//! its frame decodes, before admission.
 
 use elpc_mapping::{registry, CostModel, EdgeId, NetworkDelta, NodeId, SolveContext};
 use elpc_netsim::Link;
+use elpc_serving::protocol::{decode_response, encode_request, read_frame, write_frame};
 use elpc_serving::{
-    Client, ClientError, KeyedRemapRequest, KeyedSolveRequest, RemapRequest, Request, Response,
-    RetryPolicy, ServeError, Server, ServerConfig, SolveRequest, StatsReply,
+    Client, ClientError, KeyedRemapRequest, KeyedSolveRequest, RemapRequest, Request, RequestFrame,
+    Response, RetryPolicy, ServeError, Server, ServerConfig, SolveRequest, StatsReply,
 };
 use elpc_workloads::bank::bank_key;
 use elpc_workloads::{InstanceSpec, ProblemInstance};
@@ -538,5 +542,69 @@ fn hostile_keyed_remaps_get_typed_refusals() {
     assert_eq!((stats.keyed, stats.unknown_keys), (2, 6));
     assert_eq!(stats.requests, 4, "refusals never reach admission");
     assert_eq!(stats.bank_repairs, 1);
+    assert_ledger_exact(&stats);
+}
+
+#[test]
+fn hostile_inline_networks_are_malformed_before_admission() {
+    let socket = socket_path("hostile-inline");
+    let server = Server::bind(
+        &socket,
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let dp = "elpc_delay_routed";
+    let inst = &test_instances()[0];
+    let valid = encode_request(&RequestFrame {
+        id: 7,
+        body: Request::Solve(solve_request(inst, dp, 1)),
+    })
+    .into_bytes();
+    // the section ends with the last directed edge `(src, dst, bw, mld)`
+    // and the u64 link count: point that edge's `dst` past the last node
+    let mut hostile = valid.clone();
+    let dst = hostile.len() - 8 - 16 - 4;
+    hostile[dst..dst + 4].copy_from_slice(&9_999u32.to_le_bytes());
+
+    let mut stream = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
+    let mut exchange = |payload: &[u8]| {
+        write_frame(&mut stream, payload).expect("write");
+        let reply = read_frame(&mut stream).expect("read").expect("a reply");
+        decode_response(&reply).expect("decodes")
+    };
+    let refused = exchange(&hostile);
+    assert_eq!(refused.id, 7, "the refusal answers the request's id");
+    match refused.body {
+        Response::Error(ServeError::Malformed { detail }) => {
+            assert!(detail.contains("9999"), "{detail}");
+        }
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+    // the connection still serves, and the valid frame answers as directly
+    let answered = exchange(&valid);
+    assert_eq!(answered.id, 7);
+    match answered.body {
+        Response::Solved(reply) => {
+            assert_eq!(outcome_of(Ok(reply), dp), direct_outcome(inst, dp, 1));
+        }
+        other => panic!("expected Solved, got {other:?}"),
+    }
+    // a client whose network breaks the parameter rules gets the typed
+    // refusal as its answer, not a wait for a reply that never comes
+    let mut nan = inst.clone();
+    nan.network.node_mut(NodeId(0)).expect("node 0").power = f64::NAN;
+    let mut client = Client::connect(&socket).expect("connect");
+    let mut request = solve_request(&nan, dp, 1);
+    request.timeout_ms = Some(10_000);
+    match client.solve(request) {
+        Err(ClientError::Server(ServeError::Malformed { .. })) => {}
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.errors, 0, "no worker saw a hostile frame");
+    assert_eq!(stats.requests, 1, "refused before admission");
     assert_ledger_exact(&stats);
 }
