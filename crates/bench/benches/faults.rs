@@ -59,7 +59,7 @@ struct RecoveryRow {
     remapped: usize,
     /// Cached trees the repair rule kept bit-for-bit.
     trees_kept: usize,
-    /// Cached trees rebuilt through the CSR kernel.
+    /// Stale trees, repaired in place.
     trees_rebuilt: usize,
     /// Total measured time-to-recovery of repair + targeted remap, ms.
     recovery_ms: f64,
@@ -102,6 +102,10 @@ struct OverloadSection {
 #[derive(Debug, Serialize, Deserialize)]
 struct FaultsArtifact {
     group: String,
+    /// CPUs available to the run.
+    cpus: usize,
+    /// Build profile of the measured code.
+    profile: String,
     recovery: Vec<RecoveryRow>,
     overload: OverloadSection,
 }
@@ -347,6 +351,13 @@ fn overload_section() -> OverloadSection {
 fn main() {
     let artifact = FaultsArtifact {
         group: "faults".into(),
+        cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        profile: if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        }
+        .into(),
         recovery: recovery_rows(),
         overload: overload_section(),
     };

@@ -15,7 +15,7 @@
 //! 2. turns what moved since the previous epoch into an O(|changes|)
 //!    [`NetworkDelta`] and migrates each distinct [`ClosureBank`] entry
 //!    once through [`ClosureBank::update_in_place`], so a moved snapshot is
-//!    a bank hit with only the trees the delta can affect rebuilt;
+//!    a bank hit with only the trees the delta can affect repaired;
 //! 3. checks out every pipeline's context, re-prices its incumbent mapping
 //!    through the repaired closure, and lets the [`RemapPolicy`] decide
 //!    whether to re-solve and whether to adopt the candidate. A pipeline
@@ -145,7 +145,7 @@ pub struct EpochRecord {
     pub trees_total: usize,
     /// Trees the invalidation rule kept bit-for-bit.
     pub trees_kept: usize,
-    /// Trees rebuilt through the CSR kernel.
+    /// Stale trees, repaired in place (see [`elpc_mapping::delta`]).
     pub trees_rebuilt: usize,
     /// Measured wall-clock of the targeted path: bank repair, checkouts,
     /// re-pricing and re-solves. Zero on epochs whose delta is empty.
@@ -193,7 +193,7 @@ pub struct EpochReport {
     pub forced_remaps: usize,
     /// Trees kept bit-for-bit across every repair.
     pub trees_kept_total: usize,
-    /// Trees rebuilt through the CSR kernel across every repair.
+    /// Stale trees repaired in place across every repair.
     pub trees_rebuilt_total: usize,
     /// Mean delay experienced per pipeline and epoch (switch costs
     /// included).

@@ -263,14 +263,14 @@ impl<'a> MetricClosure<'a> {
     /// use. Slot order matches [`elpc_netgraph::Graph::neighbors`] order,
     /// which is what makes the CSR kernel bit-identical to
     /// [`elpc_netgraph::algo::dijkstra`].
-    fn csr(&self) -> &Csr {
+    pub(crate) fn csr(&self) -> &Csr {
         self.csr.get_or_init(|| Csr::from_graph(self.net.graph()))
     }
 
     /// The slot-aligned §2.2 edge costs of one payload, resolved on first
     /// use and memoized; racing fills compute identical vectors and the
     /// first insert wins.
-    fn costs_for(&self, payload_bits: u64) -> Arc<[f64]> {
+    pub(crate) fn costs_for(&self, payload_bits: u64) -> Arc<[f64]> {
         if let Some(costs) = self.costs.read().get(&payload_bits) {
             return Arc::clone(costs);
         }

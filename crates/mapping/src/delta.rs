@@ -7,8 +7,9 @@
 //! (the exact set of perturbed links and nodes between an old and a new
 //! network), it decides *per cached tree* whether the perturbation can
 //! affect that tree, keeps the untouched majority as shared `Arc`s, and
-//! rebuilds only the stale sources through the existing CSR kernel
-//! ([`crate::MetricClosure::par_warm`]).
+//! repairs each stale tree **in its own buffers**
+//! ([`elpc_netgraph::csr::SsspScratch::repair`]): only the subtrees the
+//! delta touched are recomputed, never the whole tree.
 //!
 //! ## The invalidation rule
 //!
@@ -18,12 +19,12 @@
 //! perturbation that leaves the cost bit-identical — e.g. a bandwidth
 //! change under a zero-byte payload — is *no* change):
 //!
-//! 1. **The tree traverses `e`** (its per-tree touched-edge bitset,
-//!    [`elpc_netgraph::algo::TreeEdges`], contains `e`): every distance
-//!    downstream of `e` is built on the old cost → **rebuild**.
+//! 1. **The tree traverses `e`**: `prev[v]` names `e` (only `prev[v]` can
+//!    name an edge into `v`, so this one lookup is the whole test). Every
+//!    distance downstream of `e` is built on the old cost → **stale**.
 //! 2. **`e` is off-tree but could now compete**: `dist[u] + w_new <=
 //!    dist[v]` with `dist[u]` finite. A strict `<` would change distances;
-//!    equality could change predecessor tie resolution → **rebuild**
+//!    equality could change predecessor tie resolution → **stale**
 //!    (conservative).
 //! 3. **Otherwise** (`dist[u] + w_new > dist[v]`, or `u` unreachable): a
 //!    path through `e` is strictly worse than the retained distance. By
@@ -31,10 +32,40 @@
 //!    the new costs, and the tree itself avoids every changed edge, so its
 //!    distances still *achieve* them → **keep, bit-for-bit**.
 //!
-//! Node power perturbations never touch transfer trees at all — edge costs
-//! depend only on bandwidth, MLD, and payload — they only change the
-//! compute columns of an `EvalKernel` built on the perturbed network, and
-//! re-key the bank.
+//! The test costs O(changes) per tree. Node power perturbations never
+//! touch transfer trees at all — edge costs depend only on bandwidth, MLD,
+//! and payload — they only change the compute columns of an `EvalKernel`
+//! built on the perturbed network, and re-key the bank.
+//!
+//! ## The repair
+//!
+//! A stale tree is repaired under the new network's slot-aligned cost
+//! vector (the target closure's memoised one, built once per payload):
+//!
+//! 1. the subtree below **every** changed tree edge is invalidated
+//!    (`dist = ∞`, `prev = None`), whether its cost rose or fell, so every
+//!    label left standing is the cost of a tree path with no changed edge
+//!    — one the new costs still achieve;
+//! 2. each invalidated node is seeded from its valid in-neighbours (the CSR
+//!    snapshot's in-slot index), and every changed edge with a valid,
+//!    finite tail is offered to its head;
+//! 3. Dijkstra runs from those seeds under the new costs with a strict `<`.
+//!
+//! The result is the least fixpoint of `dist[v] = min_u dist[u] ⊕ w(u, v)`,
+//! which is unique whatever the heap's tie order, so repaired distances are
+//! bit-identical to a cold build. Stale trees are split over `threads`
+//! scoped workers, each with its own scratch; each tree's result depends on
+//! nothing else, so the repair is bit-identical at any thread count.
+//!
+//! ## Ownership: repaired in place, never under a reader
+//!
+//! [`repair_trees`] mutates each stale tree through [`Arc::make_mut`]. A
+//! tree nobody else holds (a bank entry taken out of its store) is
+//! rewritten in its own `dist`/`prev` buffers without allocating, so the
+//! old and the repaired tree never coexist; a tree some live context still
+//! holds is copied first, so nothing is ever mutated under a reader.
+//! [`repair_closure`] is the same routine on copied `Arc`s: its input stays
+//! untouched, and stale trees are copied and repaired.
 //!
 //! ## Failures are perturbations to a sentinel
 //!
@@ -48,31 +79,41 @@
 //! ([`NetworkDelta::forces_remap`]).
 //!
 //! The invalidation rule needs no special case for them. A cut prices at
-//! `w_new = +∞`, so rule 1 rebuilds every tree that traverses it. Rule 2
+//! `w_new = +∞`, so rule 1 marks stale every tree that traverses it. Rule 2
 //! can never fire for it: the cached tree is exact for the old network and
 //! the cut link's `w_old` is finite, so `dist[v] ≤ dist[u] + w_old < ∞`
 //! whenever `dist[u]` is finite, while `dist[u] + ∞ = ∞`. An off-tree cut
 //! is therefore always kept by rule 3 — an edge that only got worse never
 //! newly competes. (A link already priced at `+∞` before the cut is a cost
-//! no-op and is dropped with the other bit-identical costs.)
+//! no-op and is dropped with the other bit-identical costs.) A crash cuts
+//! an in-edge of the crashed node on every tree that reaches it, so nearly
+//! every tree is stale on a fault epoch — but only the crashed node's
+//! subtree, usually small, is recomputed.
+//!
+//! ## Exactness
 //!
 //! Kept trees are reused as `Arc`s, so their exported bytes are *identical*
-//! (not merely equal) to the pre-perturbation export; rebuilt trees go
-//! through the same CSR kernel as a cold build, so the repaired closure's
+//! (not merely equal) to the pre-perturbation export; repaired trees reach
+//! the same unique fixpoint as a cold build, so the repaired closure's
 //! [`crate::MetricClosure::export`] is byte-identical to a from-scratch
 //! closure over the perturbed network. One caveat, pinned by the
-//! differential suite on tie-free instances: when distinct shortest paths
-//! *tie exactly* in `f64`, a fresh Dijkstra may resolve a kept tree's
-//! predecessor links differently than the retained tree does — distances
-//! are always bit-identical, predecessors only in generic position.
+//! differential suites on tie-free instances: when distinct shortest paths
+//! *tie exactly* in `f64`, a fresh Dijkstra may resolve a kept or repaired
+//! tree's predecessor links differently than the retained or repaired tree
+//! does — distances are always bit-identical, and every predecessor is
+//! tight (`dist[u] + w == dist[v]` on the edge it names), but predecessors
+//! equal a cold build's only in generic position.
 
-use crate::context::{CachedTree, MetricClosure, TreeKey};
+use crate::context::{effective_threads, CachedTree, MetricClosure};
 use crate::{CostModel, MappingError, Result};
 use elpc_netgraph::algo::ShortestPaths;
+use elpc_netgraph::csr::SsspScratch;
 use elpc_netgraph::{EdgeId, NodeId};
 use elpc_netsim::{Link, Network};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One perturbed directed edge: its endpoints and its old/new link values.
 /// A cut is a perturbation to the `bw = 0` sentinel
@@ -135,15 +176,18 @@ pub struct NetworkDelta {
     pub nodes: Vec<NodePerturbation>,
 }
 
-/// What a [`repair_closure`] run did, for the exact-accounting pins:
-/// `kept + rebuilt == total` always.
+/// What a [`repair_trees`] run did, for the exact-accounting pins:
+/// `kept + rebuilt == total` whenever every tree has the target network's
+/// shape (the only trees a same-shaped delta can describe).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RepairReport {
     /// Cached trees examined (the old closure's full export).
     pub total: usize,
     /// Trees the invalidation rule retained, reused as shared `Arc`s.
     pub kept: usize,
-    /// Trees rebuilt from scratch through the CSR kernel.
+    /// Stale trees, each *repaired* (not rebuilt from scratch): only the
+    /// subtrees the delta touched were recomputed. The name is kept for
+    /// the accounting's consumers.
     pub rebuilt: usize,
 }
 
@@ -405,16 +449,21 @@ struct PricedChange {
     w_new: f64,
 }
 
+/// What the repair of one payload's stale trees needs: the new network's
+/// slot-aligned costs, and the changed arcs as `(tail, slot)` pairs.
+struct PayloadPlan {
+    costs: Arc<[f64]>,
+    arcs: Vec<(NodeId, usize)>,
+}
+
 /// The invalidation rule (module docs) for one tree against one payload's
-/// priced changes.
-fn tree_is_stale(tree: &ShortestPaths, edge_count: usize, priced: &[PricedChange]) -> bool {
-    if priced.is_empty() {
-        return false;
-    }
-    let on_tree = tree.tree_edges(edge_count);
+/// priced changes, in O(changes).
+fn tree_is_stale(tree: &ShortestPaths, priced: &[PricedChange]) -> bool {
     priced.iter().any(|pc| {
-        if on_tree.contains(pc.edge) {
-            return true; // rule 1: the tree traverses the changed edge
+        // rule 1: the tree traverses the changed edge — only prev[v] can
+        // name an edge into v
+        if tree.prev[pc.v].map(|(_, e)| e) == Some(pc.edge) {
+            return true;
         }
         let du = tree.dist[pc.u];
         // rule 2: a changed off-tree edge now matches or beats the
@@ -425,66 +474,113 @@ fn tree_is_stale(tree: &ShortestPaths, edge_count: usize, priced: &[PricedChange
 
 /// Repairs `entries` (an old closure's [`crate::MetricClosure::export`])
 /// into `target`, a closure over the *perturbed* network, per `delta`:
-/// trees [`partition_stale`] retains are seeded as shared `Arc`s, stale
-/// sources are rebuilt through the CSR kernel on `threads` workers.
+/// [`repair_trees`] on copies of the entries' `Arc`s, then every tree
+/// seeded into `target`. `entries` itself is left untouched, so each stale
+/// tree is copied before it is repaired.
 ///
 /// After this returns, `target` answers every key `entries` held,
 /// byte-identically to a from-scratch closure over the perturbed network
 /// (predecessor links in generic position; see the module docs for the
-/// exact-tie caveat). Rebuilds count as closure misses, exactly like a
-/// cold build of the same trees; seeding kept trees is stat-free.
+/// exact-tie caveat). Repaired trees are seeded like kept ones, not
+/// queried: `target`'s hit/miss statistics do not move.
 pub fn repair_closure(
     target: &MetricClosure<'_>,
     entries: &[CachedTree],
     delta: &NetworkDelta,
     threads: usize,
 ) -> RepairReport {
-    let (kept, stale) = partition_stale(entries, target.network(), target.cost(), delta);
-    let kept_count = target.seed(&kept);
-    // group by payload; BTreeMap keeps rebuild order deterministic
-    // regardless of entry order
-    let mut sources_of: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
-    for key in &stale {
-        let sources = sources_of.entry(key.payload().to_bits()).or_default();
-        sources.push(key.source_node());
-    }
-    let mut rebuilt = 0;
-    for (bits, sources) in &sources_of {
-        rebuilt += target.par_warm(sources, &[f64::from_bits(*bits)], threads);
-    }
-    RepairReport {
-        total: entries.len(),
-        kept: kept_count,
-        rebuilt,
-    }
+    let mut trees = entries.to_vec();
+    let report = repair_trees(target, &mut trees, delta, threads);
+    target.seed(&trees);
+    report
 }
 
-/// Splits an export into (kept, stale-keys) under `delta` without touching
-/// any closure — the decision half of [`repair_closure`], exposed so
-/// callers that patch an [`crate::EvalKernel`] know exactly which
-/// `(payload, source)` rows moved.
-pub fn partition_stale(
-    entries: &[CachedTree],
-    net: &Network,
-    cost: &CostModel,
+/// Repairs `trees`, exact trees of the network `delta` starts from, in
+/// place into exact trees of `target`'s network under `target`'s cost
+/// model. Kept trees are left as they are; each stale tree is repaired
+/// through [`Arc::make_mut`] — in its own buffers when the `Arc` is unique,
+/// on a copy when anyone else still holds it (see the module docs). Stale
+/// trees are split over `threads` workers (`0` = all CPUs), each with its
+/// own scratch; the result is bit-identical at any thread count. Trees
+/// whose shape does not match `target`'s network are dropped, as
+/// [`crate::MetricClosure::seed`] would reject them. `target` lends its CSR
+/// snapshot and memoised cost vectors; its cache and statistics are left
+/// alone.
+pub fn repair_trees(
+    target: &MetricClosure<'_>,
+    trees: &mut Vec<CachedTree>,
     delta: &NetworkDelta,
-) -> (Vec<CachedTree>, Vec<TreeKey>) {
-    let edge_count = net.graph().edge_count();
-    // price each distinct payload once
+    threads: usize,
+) -> RepairReport {
+    let total = trees.len();
+    let n = target.network().node_count();
+    trees.retain(|e| e.tree.dist.len() == n && (e.key.source as usize) < n);
+
+    // decide per tree, pricing each distinct payload once
     let mut priced_of: BTreeMap<u64, Vec<PricedChange>> = BTreeMap::new();
-    let mut kept = Vec::with_capacity(entries.len());
-    let mut stale = Vec::new();
-    for e in entries {
+    let mut stale: Vec<&mut CachedTree> = Vec::new();
+    let mut kept = 0;
+    for e in trees.iter_mut() {
         let priced = priced_of
-            .entry(e.key.payload().to_bits())
-            .or_insert_with(|| delta.priced_links(cost, e.key.payload()));
-        if tree_is_stale(&e.tree, edge_count, priced) {
-            stale.push(e.key);
+            .entry(e.key.payload_bits)
+            .or_insert_with(|| delta.priced_links(target.cost(), e.key.payload()));
+        if tree_is_stale(&e.tree, priced) {
+            stale.push(e);
         } else {
-            kept.push(e.clone());
+            kept += 1;
         }
     }
-    (kept, stale)
+    let repaired = stale.len();
+
+    // per stale payload: the new cost vector and the changed arcs
+    let csr = target.csr();
+    let mut plan_of: BTreeMap<u64, PayloadPlan> = BTreeMap::new();
+    for e in &stale {
+        plan_of
+            .entry(e.key.payload_bits)
+            .or_insert_with(|| PayloadPlan {
+                costs: target.costs_for(e.key.payload_bits),
+                arcs: priced_of[&e.key.payload_bits]
+                    .iter()
+                    .filter_map(|pc| {
+                        let u = NodeId::from_index(pc.u);
+                        csr.slot_of(u, pc.edge).map(|slot| (u, slot))
+                    })
+                    .collect(),
+            });
+    }
+    let repair = |scratch: &mut SsspScratch, e: &mut CachedTree| {
+        let plan = &plan_of[&e.key.payload_bits];
+        scratch.repair(csr, &plan.costs, Arc::make_mut(&mut e.tree), &plan.arcs);
+    };
+    let threads = effective_threads(threads).min(repaired);
+    if threads <= 1 {
+        let mut scratch = SsspScratch::new();
+        for e in stale {
+            repair(&mut scratch, e);
+        }
+    } else {
+        let queue = Mutex::new(stale.into_iter());
+        crossbeam::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|_| {
+                    let mut scratch = SsspScratch::new();
+                    loop {
+                        // release the queue before repairing
+                        let next = queue.lock().next();
+                        let Some(e) = next else { break };
+                        repair(&mut scratch, e);
+                    }
+                });
+            }
+        })
+        .expect("repair workers must not panic");
+    }
+    RepairReport {
+        total,
+        kept,
+        rebuilt: repaired,
+    }
 }
 
 #[cfg(test)]

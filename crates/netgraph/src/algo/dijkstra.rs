@@ -20,60 +20,6 @@ pub struct ShortestPaths {
     pub prev: Vec<Option<(NodeId, EdgeId)>>,
 }
 
-/// Bitset over directed edge ids marking the edges a shortest-path tree
-/// traverses — the union of its `prev` links, one bit per directed edge.
-///
-/// Built once per tree by [`ShortestPaths::tree_edges`], it answers "does
-/// this tree route through edge `e`?" in O(1), which is what incremental
-/// (churn) maintenance layers need to decide whether a perturbed edge
-/// invalidates a cached tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TreeEdges {
-    words: Vec<u64>,
-    count: usize,
-}
-
-impl TreeEdges {
-    /// True when the tree traverses directed edge `e`. Out-of-range ids
-    /// answer `false`.
-    #[inline]
-    pub fn contains(&self, e: EdgeId) -> bool {
-        let i = e.index();
-        match self.words.get(i / 64) {
-            Some(w) => (w >> (i % 64)) & 1 == 1,
-            None => false,
-        }
-    }
-
-    /// Number of tree edges (= reachable non-source nodes).
-    pub fn count(&self) -> usize {
-        self.count
-    }
-}
-
-impl ShortestPaths {
-    /// The touched-edge bitset of this tree: one bit per directed edge id
-    /// (`edge_count` total), set when some node's `prev` link enters
-    /// through that edge.
-    ///
-    /// A directed edge `(u, v)` can only ever be the predecessor link of
-    /// `v`, so membership here is equivalent to `prev[v] == Some((u, e))`
-    /// — but the bitset costs O(k + E/64) once and O(1) per query, which
-    /// is the right shape when one tree is probed against many perturbed
-    /// edges.
-    pub fn tree_edges(&self, edge_count: usize) -> TreeEdges {
-        let mut words = vec![0u64; edge_count.div_ceil(64)];
-        let mut count = 0usize;
-        for link in self.prev.iter().flatten() {
-            let i = link.1.index();
-            debug_assert!(i < edge_count, "prev edge id out of range");
-            words[i / 64] |= 1u64 << (i % 64);
-            count += 1;
-        }
-        TreeEdges { words, count }
-    }
-}
-
 /// Max-heap entry ordered by *smallest* distance first.
 struct HeapEntry {
     dist: f64,
@@ -241,39 +187,6 @@ mod tests {
         g.add_edge(a, b, 1.0).unwrap(); // one-way only
         let sp = dijkstra(&g, b, |_, e| e.payload);
         assert!(sp.dist[a.index()].is_infinite());
-    }
-
-    #[test]
-    fn tree_edges_marks_exactly_the_prev_links() {
-        let (g, ns) = diamond();
-        let sp = dijkstra(&g, ns[0], |_, e| e.payload);
-        let bits = sp.tree_edges(g.edge_count());
-        // one tree edge per reachable non-source node
-        assert_eq!(bits.count(), 3);
-        let mut marked = 0;
-        for (id, e) in g.edges() {
-            let used = sp.prev[e.dst.index()] == Some((e.src, id));
-            assert_eq!(
-                bits.contains(id),
-                used,
-                "edge {id:?} bitset/prev disagreement"
-            );
-            if used {
-                marked += 1;
-            }
-        }
-        assert_eq!(marked, bits.count());
-        // out-of-range probes answer false, never panic
-        assert!(!bits.contains(EdgeId::from_index(g.edge_count() + 64)));
-    }
-
-    #[test]
-    fn tree_edges_of_an_unreachable_forest_is_empty() {
-        let (g, _) = diamond();
-        let sp = dijkstra(&g, NodeId(50), |_, e| e.payload);
-        let bits = sp.tree_edges(g.edge_count());
-        assert_eq!(bits.count(), 0);
-        assert!((0..g.edge_count()).all(|i| !bits.contains(EdgeId::from_index(i))));
     }
 
     #[test]

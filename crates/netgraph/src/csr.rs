@@ -46,6 +46,22 @@
 //! moves it into the output, which measured faster than filling scratch
 //! buffers and cloning them out. Hand each worker thread its own scratch —
 //! the snapshot itself is immutable and freely shared.
+//!
+//! ## Repairing a tree in place
+//!
+//! [`SsspScratch::repair`] brings an exact tree of this snapshot up to date
+//! after some arcs changed cost, in the tree's own `dist`/`prev` buffers:
+//! it invalidates the subtree below every changed tree arc, re-seeds each
+//! invalidated node from its still-valid in-neighbours (through the
+//! snapshot's in-slot index, built once with it), offers every changed arc
+//! whose tail is still valid, and runs Dijkstra from those seeds under the
+//! new costs with the same strict `<` relaxation as a cold run. Every label
+//! left standing is the cost of a tree path with no changed arc, so the new
+//! costs still achieve it, and the result is the least fixpoint of
+//! `dist[v] = min_u dist[u] + w(u, v)` — unique, so its `dist` bits equal a
+//! cold run's whatever the heap's tie order. Predecessors equal the cold
+//! run's in generic position; under exact distance ties each one is still
+//! tight (`dist[u] + w == dist[v]` on the named arc).
 
 use crate::algo::ShortestPaths;
 use crate::{EdgeId, Graph, NodeId};
@@ -65,6 +81,14 @@ pub struct Csr {
     /// Originating [`EdgeId`] per slot (for predecessor links and cost
     /// resolution).
     edge_ids: Vec<u32>,
+    /// Prefix-sum offsets of the in-slot index: `in_offsets[v]..in_offsets[v+1]`
+    /// indexes the arcs entering `v`, `node_count + 1` entries.
+    in_offsets: Vec<u32>,
+    /// Tail node per in-slot entry.
+    in_tails: Vec<u32>,
+    /// Packed out-slot per in-slot entry (indexes `targets`, `edge_ids` and
+    /// a cost vector).
+    in_slots: Vec<u32>,
 }
 
 impl Csr {
@@ -84,10 +108,33 @@ impl Csr {
             }
             offsets.push(targets.len() as u32);
         }
+        // in-slot index: a counting sort of the slots by target, so each
+        // node's entries keep ascending slot order
+        let mut in_offsets = vec![0u32; n + 1];
+        for &t in &targets {
+            in_offsets[t as usize + 1] += 1;
+        }
+        for v in 0..n {
+            in_offsets[v + 1] += in_offsets[v];
+        }
+        let mut fill = in_offsets.clone();
+        let mut in_tails = vec![0u32; targets.len()];
+        let mut in_slots = vec![0u32; targets.len()];
+        for u in 0..n {
+            for slot in offsets[u] as usize..offsets[u + 1] as usize {
+                let at = &mut fill[targets[slot] as usize];
+                in_tails[*at as usize] = u as u32;
+                in_slots[*at as usize] = slot as u32;
+                *at += 1;
+            }
+        }
         Csr {
             offsets,
             targets,
             edge_ids,
+            in_offsets,
+            in_tails,
+            in_slots,
         }
     }
 
@@ -119,6 +166,23 @@ impl Csr {
             .iter()
             .zip(&self.edge_ids[s..e])
             .map(|(&t, &eid)| (NodeId(t), EdgeId(eid)))
+    }
+
+    /// The arcs entering `v` as `(tail, slot)` pairs, in ascending slot
+    /// order; `slot` indexes a cost vector.
+    fn in_arcs(&self, v: NodeId) -> impl Iterator<Item = (NodeId, usize)> + '_ {
+        let s = self.in_offsets[v.index()] as usize;
+        let e = self.in_offsets[v.index() + 1] as usize;
+        self.in_tails[s..e]
+            .iter()
+            .zip(&self.in_slots[s..e])
+            .map(|(&t, &slot)| (NodeId(t), slot as usize))
+    }
+
+    /// The packed slot of directed edge `e` out of `u`, if `u` has it.
+    pub fn slot_of(&self, u: NodeId, e: EdgeId) -> Option<usize> {
+        let (s, end) = self.slot_range(u);
+        (s..end).find(|&slot| self.edge_ids[slot] == e.0)
     }
 
     #[inline]
@@ -168,14 +232,20 @@ impl Ord for MinEntry {
 }
 
 /// Reusable SSSP working memory: the binary heap, whose backing array is
-/// recycled across the sources of a multi-source batch (the heap is the
-/// only buffer whose capacity survives a run — result arrays are written
-/// once and moved into the output, which measured faster than staging them
-/// in scratch and cloning out). Create one per worker thread; the [`Csr`]
-/// snapshot itself is shared read-only.
+/// recycled across the sources of a multi-source batch (result arrays are
+/// written once and moved into the output, which measured faster than
+/// staging them in scratch and cloning out), plus the invalidation marks
+/// and stack of [`SsspScratch::repair`]. Create one per worker thread; the
+/// [`Csr`] snapshot itself is shared read-only.
 #[derive(Default)]
 pub struct SsspScratch {
     heap: BinaryHeap<MinEntry>,
+    /// Per-node "invalidated by this repair" flags; all false between runs.
+    invalid: Vec<bool>,
+    /// Nodes invalidated by the running repair, in discovery order.
+    dirty: Vec<u32>,
+    /// DFS stack of the subtree walk.
+    stack: Vec<u32>,
 }
 
 impl SsspScratch {
@@ -209,41 +279,158 @@ impl SsspScratch {
                 bits: 0, // 0.0f64.to_bits()
                 node: src.0,
             });
-            let mut settled = 0usize;
-            while let Some(MinEntry { bits, node: u }) = self.heap.pop() {
-                let d = f64::from_bits(bits);
-                if d > dist[u as usize] {
-                    continue; // stale entry
+            self.settle(csr, costs, &mut dist, &mut prev);
+        }
+        ShortestPaths { dist, prev }
+    }
+
+    /// Dijkstra's main loop, shared by the cold run and the repair: pops
+    /// the heap in distance order and relaxes each settled node's out-slots
+    /// under `costs` with a strict `<`. A node settles (pops at its current
+    /// label) at most once, because pops come in non-decreasing order.
+    fn settle(
+        &mut self,
+        csr: &Csr,
+        costs: &[f64],
+        dist: &mut [f64],
+        prev: &mut [Option<(NodeId, EdgeId)>],
+    ) {
+        let n = csr.node_count();
+        let mut settled = 0usize;
+        while let Some(MinEntry { bits, node: u }) = self.heap.pop() {
+            let d = f64::from_bits(bits);
+            if d > dist[u as usize] {
+                continue; // stale entry
+            }
+            // Once every node has settled, each remaining heap entry is a
+            // stale duplicate (a node's settling entry is its lowest ever
+            // pushed), so draining them cannot touch dist/prev — breaking
+            // here is exact, not an approximation.
+            settled += 1;
+            if settled == n {
+                break;
+            }
+            let s = csr.offsets[u as usize] as usize;
+            let e = csr.offsets[u as usize + 1] as usize;
+            for (i, (&w, &tv)) in costs[s..e].iter().zip(&csr.targets[s..e]).enumerate() {
+                debug_assert!(
+                    w >= 0.0 && !w.is_nan(),
+                    "Dijkstra requires non-negative non-NaN costs, got {w}"
+                );
+                let v = tv as usize;
+                let nd = d + w;
+                if nd < dist[v] {
+                    dist[v] = nd;
+                    prev[v] = Some((NodeId(u), EdgeId(csr.edge_ids[s + i])));
+                    self.heap.push(MinEntry {
+                        bits: nd.to_bits(),
+                        node: v as u32,
+                    });
                 }
-                // Once every node has settled, each remaining heap entry is
-                // a stale duplicate (a node's settling entry is its lowest
-                // ever pushed), so draining them cannot touch dist/prev —
-                // breaking here is exact, not an approximation.
-                settled += 1;
-                if settled == n {
-                    break;
-                }
-                let s = csr.offsets[u as usize] as usize;
-                let e = csr.offsets[u as usize + 1] as usize;
-                for (i, (&w, &tv)) in costs[s..e].iter().zip(&csr.targets[s..e]).enumerate() {
-                    debug_assert!(
-                        w >= 0.0 && !w.is_nan(),
-                        "Dijkstra requires non-negative non-NaN costs, got {w}"
-                    );
-                    let v = tv as usize;
-                    let nd = d + w;
-                    if nd < dist[v] {
-                        dist[v] = nd;
-                        prev[v] = Some((NodeId(u), EdgeId(csr.edge_ids[s + i])));
-                        self.heap.push(MinEntry {
-                            bits: nd.to_bits(),
-                            node: v as u32,
-                        });
+            }
+        }
+    }
+
+    /// Repairs `sp` in place: on entry an exact tree of `csr` under the old
+    /// costs, on return the tree under `costs`, where `changed` lists every
+    /// arc whose cost differs as a `(tail, slot)` pair (arcs may repeat).
+    /// See the module docs for the method and the bit-identity argument.
+    ///
+    /// # Panics
+    /// Panics if `costs` is not slot-aligned with `csr`, or if `sp` does not
+    /// have one entry per node.
+    pub fn repair(
+        &mut self,
+        csr: &Csr,
+        costs: &[f64],
+        sp: &mut ShortestPaths,
+        changed: &[(NodeId, usize)],
+    ) {
+        assert_eq!(
+            costs.len(),
+            csr.arc_count(),
+            "cost vector must be slot-aligned with the CSR snapshot"
+        );
+        let n = csr.node_count();
+        assert!(
+            sp.dist.len() == n && sp.prev.len() == n,
+            "tree must have one entry per snapshot node"
+        );
+        self.invalid.resize(n, false);
+        let ShortestPaths { dist, prev } = sp;
+        let names_slot = |prev: &[Option<(NodeId, EdgeId)>], slot: usize| {
+            let v = csr.targets[slot] as usize;
+            prev[v].map(|(_, e)| e.0) == Some(csr.edge_ids[slot])
+        };
+
+        // 1. invalidate the subtree below every changed tree arc
+        for &(_, slot) in changed {
+            let v = csr.targets[slot];
+            if self.invalid[v as usize] || !names_slot(prev, slot) {
+                continue;
+            }
+            self.invalid[v as usize] = true;
+            self.dirty.push(v);
+            self.stack.push(v);
+            while let Some(y) = self.stack.pop() {
+                let (s, e) = csr.slot_range(NodeId(y));
+                for child_slot in s..e {
+                    let x = csr.targets[child_slot];
+                    if !self.invalid[x as usize] && names_slot(prev, child_slot) {
+                        self.invalid[x as usize] = true;
+                        self.dirty.push(x);
+                        self.stack.push(x);
                     }
                 }
             }
         }
-        ShortestPaths { dist, prev }
+        for &v in &self.dirty {
+            dist[v as usize] = f64::INFINITY;
+            prev[v as usize] = None;
+        }
+
+        // 2. seed invalidated nodes from their valid in-neighbours, then
+        // offer the changed arcs leaving valid nodes
+        self.heap.clear();
+        for &v in &self.dirty {
+            let v = v as usize;
+            for (t, slot) in csr.in_arcs(NodeId(v as u32)) {
+                if !self.invalid[t.index()] {
+                    let nd = dist[t.index()] + costs[slot];
+                    if nd < dist[v] {
+                        dist[v] = nd;
+                        prev[v] = Some((t, EdgeId(csr.edge_ids[slot])));
+                    }
+                }
+            }
+            if dist[v].is_finite() {
+                self.heap.push(MinEntry {
+                    bits: dist[v].to_bits(),
+                    node: v as u32,
+                });
+            }
+        }
+        for &(u, slot) in changed {
+            let v = csr.targets[slot] as usize;
+            if self.invalid[u.index()] || self.invalid[v] {
+                continue;
+            }
+            let nd = dist[u.index()] + costs[slot];
+            if nd < dist[v] {
+                dist[v] = nd;
+                prev[v] = Some((u, EdgeId(csr.edge_ids[slot])));
+                self.heap.push(MinEntry {
+                    bits: nd.to_bits(),
+                    node: v as u32,
+                });
+            }
+        }
+
+        // 3. Dijkstra from the seeds under the new costs
+        self.settle(csr, costs, dist, prev);
+        for v in self.dirty.drain(..) {
+            self.invalid[v as usize] = false;
+        }
     }
 }
 
@@ -346,6 +533,58 @@ mod tests {
         let (g, ns) = diamond();
         let csr = Csr::from_graph(&g);
         let _ = dijkstra_csr(&csr, ns[0], &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn in_arcs_index_every_slot_under_its_target() {
+        let (g, ns) = diamond();
+        let csr = Csr::from_graph(&g);
+        let mut seen = 0;
+        for u in g.node_ids() {
+            for (v, e) in csr.neighbors(u) {
+                let slot = csr.slot_of(u, e).expect("out-slot of u");
+                assert_eq!(
+                    csr.in_arcs(v).filter(|&a| a == (u, slot)).count(),
+                    1,
+                    "slot {slot} listed once under its target"
+                );
+                seen += 1;
+            }
+        }
+        let indexed: usize = g.node_ids().map(|v| csr.in_arcs(v).count()).sum();
+        assert_eq!((seen, indexed), (csr.arc_count(), csr.arc_count()));
+        assert_eq!(csr.slot_of(ns[0], EdgeId(99)), None);
+    }
+
+    #[test]
+    fn repair_reaches_the_cold_tree_whichever_way_costs_move() {
+        let (g, ns) = diamond();
+        let csr = Csr::from_graph(&g);
+        let old = csr.cost_vector(|eid| g.edge(eid).unwrap().payload);
+        // (edge, new cost): a tree edge rises, a tree edge falls, an
+        // off-tree edge falls below the tree, and a cut
+        let moves: [&[(u32, f64)]; 4] = [
+            &[(0, 5.0)],
+            &[(2, 0.25), (3, 0.25)],
+            &[(4, 0.25)],
+            &[(2, f64::INFINITY), (3, f64::INFINITY), (6, 0.1)],
+        ];
+        let mut scratch = SsspScratch::new();
+        for moved in moves {
+            let mut new = old.clone();
+            let mut changed = Vec::new();
+            for &(e, w) in moved {
+                let edge = g.edge(EdgeId(e)).unwrap();
+                let slot = csr.slot_of(edge.src, EdgeId(e)).unwrap();
+                new[slot] = w;
+                changed.push((edge.src, slot));
+            }
+            for &src in &ns {
+                let mut sp = dijkstra_csr(&csr, src, &old);
+                scratch.repair(&csr, &new, &mut sp, &changed);
+                assert_sp_identical(&sp, &dijkstra_csr(&csr, src, &new));
+            }
+        }
     }
 
     #[test]

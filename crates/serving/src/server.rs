@@ -777,7 +777,7 @@ fn execute(shared: &Arc<Shared>, item: &WorkItem, queue_ms: f64) -> Result<Respo
 }
 
 /// Attempts a remap's in-place bank repair: migrates the closure banked
-/// under `previous_key` to the perturbed instance's key (rebuilding only
+/// under `previous_key` to the perturbed instance's key (repairing only
 /// the trees the delta can affect), so the solve that follows checks out
 /// a **hit**. A key that is not banked, or an empty delta, falls through
 /// to the normal path — a failed repair is never an error, just a cold

@@ -21,7 +21,7 @@
 //! The bank is `Send + Sync` (one mutex around the store, atomic
 //! statistics) so a parallel sweep can share a single bank across workers.
 
-use elpc_mapping::delta::repair_closure;
+use elpc_mapping::delta::repair_trees;
 use elpc_mapping::{
     CachedTree, CostModel, Instance, MetricClosure, NetworkDelta, RepairReport, SolveContext,
 };
@@ -374,20 +374,26 @@ impl ClosureBank {
     /// instead of the guaranteed miss the strict fingerprint key would
     /// force. The entry's trees are run through the churn invalidation rule
     /// ([`elpc_mapping::delta`]): untouched trees migrate as shared `Arc`s,
-    /// stale sources are rebuilt on `threads` workers, and the repaired
+    /// stale trees are repaired on `threads` workers, and the repaired
     /// entry is stored under the new key **in the old key's eviction slot**
     /// (the topology aged as one resident; its identity moved, not its
     /// tenure). A network the old entry held is dropped: it is the
     /// pre-perturbation network.
     ///
-    /// Returns the repair accounting, or `None` when nothing is banked
-    /// under `old_key` (the caller falls back to a cold solve). `delta`
-    /// must be the [`NetworkDelta`] from the old entry's network to
-    /// `inst.network` — the caller vouches for that pairing exactly as it
-    /// vouches for `old_key`. Not a checkout and not a deposit: only the
-    /// `repairs` statistic moves, so `hits + misses` still equals the
-    /// number of [`ClosureBank::context_for`] calls and a subsequent
-    /// checkout of the new key counts its own hit.
+    /// The repair is in place: the entry is taken *out* of the store first,
+    /// so a tree no live context holds is rewritten in its own buffers, and
+    /// one a context still holds is copied before it is repaired — nothing
+    /// is mutated under a reader. While the repair runs, `old_key` is
+    /// absent: a racing checkout of it misses and starts cold.
+    ///
+    /// Returns the repair accounting (`rebuilt` counts the trees repaired),
+    /// or `None` when nothing is banked under `old_key` (the caller falls
+    /// back to a cold solve). `delta` must be the [`NetworkDelta`] from the
+    /// old entry's network to `inst.network` — the caller vouches for that
+    /// pairing exactly as it vouches for `old_key`. Not a checkout and not
+    /// a deposit: only the `repairs` statistic moves, so `hits + misses`
+    /// still equals the number of [`ClosureBank::context_for`] calls and a
+    /// subsequent checkout of the new key counts its own hit.
     pub fn update_in_place(
         &self,
         old_key: u64,
@@ -410,29 +416,33 @@ impl ClosureBank {
         delta: &NetworkDelta,
         threads: usize,
     ) -> Option<RepairReport> {
-        let entries = self
-            .store
-            .lock()
-            .entries
-            .get(&old_key)
-            .map(|e| Arc::clone(&e.trees))?;
-        if new_key == old_key {
-            // value-identical topology (empty delta): nothing to migrate
-            self.repairs.fetch_add(1, Ordering::Relaxed);
-            return Some(RepairReport {
-                total: entries.len(),
-                kept: entries.len(),
-                rebuilt: 0,
-            });
-        }
-        // repair outside the lock — stale-tree rebuilds can be expensive
-        let closure = MetricClosure::new(inst.network, cost);
-        let report = repair_closure(&closure, &entries, delta, threads);
-        let repaired = Arc::new(closure.export());
+        let mut trees = {
+            let mut store = self.store.lock();
+            if new_key == old_key {
+                // value-identical topology (empty delta): nothing to migrate
+                let total = store.entries.get(&old_key)?.trees.len();
+                drop(store);
+                self.repairs.fetch_add(1, Ordering::Relaxed);
+                return Some(RepairReport {
+                    total,
+                    kept: total,
+                    rebuilt: 0,
+                });
+            }
+            // take the entry out; its eviction slot stays in `order`
+            store.entries.remove(&old_key)?.trees
+        };
+        // repair outside the lock; the Vec is copied only if a checkout
+        // still holds it
+        let report = repair_trees(
+            &MetricClosure::new(inst.network, cost),
+            Arc::make_mut(&mut trees),
+            delta,
+            threads,
+        );
 
         let mut guard = self.store.lock();
         let store = &mut *guard;
-        store.entries.remove(&old_key);
         let slot = store.order.iter().position(|&k| k == old_key);
         match store.entries.get_mut(&new_key) {
             // the new key is somehow already banked: richer-wins, and the
@@ -441,8 +451,8 @@ impl ClosureBank {
                 if let Some(i) = slot {
                     store.order.remove(i);
                 }
-                if existing.trees.len() < repaired.len() {
-                    existing.trees = repaired;
+                if existing.trees.len() < trees.len() {
+                    existing.trees = trees;
                 }
             }
             None => {
@@ -458,7 +468,7 @@ impl ClosureBank {
                 store.entries.insert(
                     new_key,
                     BankEntry {
-                        trees: repaired,
+                        trees,
                         network: None,
                     },
                 );
@@ -730,6 +740,90 @@ mod tests {
             .update_in_place(0xDEAD_BEEF, pert.as_instance(), cost(), &delta, 1)
             .is_none());
         assert_eq!(bank.stats().repairs, 1);
+    }
+
+    /// A uniquely owned entry is repaired in its own buffers: every tree,
+    /// stale ones included, keeps its allocation. A tree a live context
+    /// still holds is copied instead, and the context keeps the old bits.
+    #[test]
+    fn update_in_place_repairs_unshared_trees_without_reallocating() {
+        let spec = InstanceSpec::sized(5, 40, 90);
+        let base = spec.generate(9).unwrap();
+        let bank = ClosureBank::new();
+        let sources: Vec<elpc_mapping::NodeId> = base.network.node_ids().collect();
+        let payloads: Vec<f64> = (1..base.pipeline.len())
+            .map(|j| base.pipeline.input_bytes(j))
+            .collect();
+        let ctx = bank.context_for(base.as_instance(), cost(), 1);
+        ctx.closure().par_warm(&sources, &payloads, 1);
+        bank.deposit(&ctx);
+        drop(ctx);
+        let buffers = |inst: &crate::ProblemInstance| {
+            let ctx = bank.context_for(inst.as_instance(), cost(), 1);
+            let out: Vec<(elpc_mapping::TreeKey, usize, Vec<u64>)> = ctx
+                .closure()
+                .export()
+                .iter()
+                .map(|e| {
+                    let bits = e.tree.dist.iter().map(|d| d.to_bits()).collect();
+                    (e.key, e.tree.dist.as_ptr() as usize, bits)
+                })
+                .collect();
+            out
+        };
+        let before = buffers(&base);
+
+        // crash a relay: nearly every tree goes stale
+        let relay = sources
+            .iter()
+            .copied()
+            .find(|&v| v != base.src && v != base.dst)
+            .unwrap();
+        let mut crashed = base.clone();
+        crashed.network.fail_node(relay).unwrap();
+        let delta = NetworkDelta::between(&base.network, &crashed.network).unwrap();
+        let report = bank
+            .update_in_place(
+                bank_key(&base.as_instance(), &cost()),
+                crashed.as_instance(),
+                cost(),
+                &delta,
+                1,
+            )
+            .unwrap();
+        assert!(report.rebuilt > 0, "the crash makes trees stale");
+        let after = buffers(&crashed);
+        assert_eq!(after.len(), before.len());
+        let mut moved = 0;
+        for (b, a) in before.iter().zip(&after) {
+            assert_eq!((b.0, b.1), (a.0, a.1), "same key, same buffer");
+            moved += usize::from(b.2 != a.2);
+        }
+        assert!(moved > 0, "repaired trees changed in their own buffers");
+
+        // a live context shares every tree: the repair back copies, and the
+        // context still holds the crashed network's bits
+        let held = bank.context_for(crashed.as_instance(), cost(), 1);
+        let back = NetworkDelta::between(&crashed.network, &base.network).unwrap();
+        bank.update_in_place(
+            bank_key(&crashed.as_instance(), &cost()),
+            base.as_instance(),
+            cost(),
+            &back,
+            1,
+        )
+        .unwrap();
+        let restored = buffers(&base);
+        for ((b, a), r) in before.iter().zip(&after).zip(&restored) {
+            assert_eq!(b.2, r.2, "the restore round-trips the bits");
+            if a.2 != r.2 {
+                assert_ne!(a.1, r.1, "a shared tree is copied before its repair");
+            }
+        }
+        for (e, a) in held.closure().export().iter().zip(&after) {
+            let bits: Vec<u64> = e.tree.dist.iter().map(|d| d.to_bits()).collect();
+            assert_eq!(bits, a.2, "a held tree is never mutated");
+        }
     }
 
     /// A network lives in its closure's entry once handed in: a repair to
