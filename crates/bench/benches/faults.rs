@@ -32,7 +32,7 @@ use elpc_netsim::dynamics::DynamicNetwork;
 use elpc_netsim::faults::{FaultConfig, FaultEvent, FaultKind, FaultSchedule};
 use elpc_pipeline::Pipeline;
 use elpc_serving::loadgen::{run_open_loop, LoadConfig, LoadReport};
-use elpc_serving::{Server, ServerConfig};
+use elpc_serving::{RetryPolicy, Server, ServerConfig};
 use elpc_workloads::{ClosureBank, InstanceSpec, ProblemInstance};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -94,7 +94,8 @@ struct OverloadSection {
     links: usize,
     workers: usize,
     queue_capacity: usize,
-    /// Unpaced all-success throughput the offered rates are scaled from.
+    /// Closed-loop, shed-free throughput (one connection per worker) the
+    /// offered rates are scaled from.
     capacity_rps: f64,
     rows: Vec<OverloadRow>,
 }
@@ -263,7 +264,7 @@ fn overload_section() -> OverloadSection {
         .generate(0x600D)
         .expect("spec generates")];
 
-    // warm the bank, then measure the daemon's unpaced banked capacity
+    // warm the bank, then measure the daemon's banked capacity
     let warm = run_open_loop(
         &socket,
         &inst,
@@ -275,10 +276,23 @@ fn overload_section() -> OverloadSection {
     )
     .expect("warmup");
     assert_eq!(warm.ok, 1, "warmup solve must succeed");
-    // unpaced flood: the queue saturates and sheds, and the rate the
-    // daemon actually completes at *is* its capacity
-    let probe = run_open_loop(&socket, &inst, &base).expect("capacity probe");
-    assert!(probe.ok > 0, "probe must complete some work");
+    // closed loop, one connection per worker: every worker stays busy and
+    // nothing sheds, so the completion rate is the daemon's capacity (an
+    // unpaced flood spends the daemon on refusals and under-reads it)
+    let probe = run_open_loop(
+        &socket,
+        &inst,
+        &LoadConfig {
+            connections: WORKERS,
+            retry: Some(RetryPolicy {
+                max_attempts: 1,
+                ..RetryPolicy::default()
+            }),
+            ..base.clone()
+        },
+    )
+    .expect("capacity probe");
+    assert_eq!(probe.ok, REQUESTS, "the capacity probe must not shed");
     let capacity_rps = probe.ok as f64 / probe.elapsed_s.max(1e-9);
 
     let run_at = |fraction: f64| -> LoadReport {

@@ -13,20 +13,9 @@
 //! elpc-serve loadgen  --socket PATH [--requests N] [--connections C] [--rate R]
 //!                     [--solver NAME] [--modules M --nodes N --links L] [--seed S]
 //!                     [--retries N] [--retry-base-ms MS] [--retry-seed S]
-//! elpc-serve smoke    [--requests N] [--connections C] [--workers W] [--queue-capacity N]
-//! elpc-serve chaos    [--requests N] [--connections C] [--workers W]
 //! ```
 //!
 //! `serve` blocks until a client sends `shutdown`, then drains and exits.
-//! `smoke` is self-contained (used by the CI `SERVING_SMOKE` step): it
-//! boots an in-process daemon on a temp socket, fires an open-loop burst
-//! at it, requests shutdown, verifies the drain answered everything, and
-//! exits non-zero on any failure.
-//! `chaos` is the CI `CHAOS_SMOKE` step: it kills and restarts the daemon
-//! in the middle of a retrying closed-loop burst and proves no request is
-//! lost and the clients went back to sending networks by key, then drives
-//! an open-loop overload at a tiny queue and proves the daemon sheds with
-//! exact accounting instead of queueing without bound.
 //!
 //! `--retries N` (N > 1) makes `solve` and `loadgen` retry transient
 //! failures — shed replies, daemon restarts — under a deterministic
@@ -38,7 +27,6 @@ use elpc_serving::{Client, RetryPolicy, Server, ServerConfig, SolveRequest};
 use elpc_workloads::{InstanceSpec, ProblemInstance};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
 
 struct Args {
     flags: Vec<(String, String)>,
@@ -138,7 +126,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         workers: args.num("workers", 0)?,
         bank_capacity: args.num("bank-capacity", 64)?,
         queue_capacity: args.num("queue-capacity", ServerConfig::default().queue_capacity)?,
-        ..ServerConfig::default()
     };
     let server = Server::bind(&socket, config).map_err(|e| format!("bind failed: {e}"))?;
     println!(
@@ -264,246 +251,8 @@ fn print_report(r: &elpc_serving::LoadReport) {
     );
 }
 
-/// Self-contained CI smoke: boot, burst, drain, verify, exit.
-fn cmd_smoke(args: &Args) -> Result<(), String> {
-    let socket = std::env::temp_dir().join(format!("elpc-smoke-{}.sock", std::process::id()));
-    // CI marks this leg with SERVING_SMOKE=1; a value > 1 scales the burst
-    // without touching the workflow's flag list.
-    let env_requests = std::env::var("SERVING_SMOKE")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 1);
-    let requests: usize = match env_requests {
-        Some(n) => n,
-        None => args.num("requests", 48)?,
-    };
-    let connections: usize = args.num("connections", 4)?;
-    let server = Server::bind(
-        &socket,
-        ServerConfig {
-            workers: args.num("workers", 0)?,
-            queue_capacity: args.num("queue-capacity", ServerConfig::default().queue_capacity)?,
-            ..ServerConfig::default()
-        },
-    )
-    .map_err(|e| format!("bind failed: {e}"))?;
-    println!(
-        "smoke: daemon on {} ({} workers)",
-        socket.display(),
-        server.worker_count()
-    );
-
-    let instances = gen_instances(args, 1)?;
-    let cfg = LoadConfig {
-        connections,
-        requests,
-        ..LoadConfig::default()
-    };
-    let report = run_open_loop(&socket, &instances, &cfg).map_err(|e| format!("loadgen: {e}"))?;
-    print_report(&report);
-
-    let mut client = Client::connect(&socket).map_err(|e| format!("connect: {e}"))?;
-    let stats = client.stats().map_err(|e| format!("stats: {e}"))?;
-    client.shutdown().map_err(|e| format!("shutdown: {e}"))?;
-    let finale = server.shutdown();
-    println!(
-        "smoke: drained; requests={} completed={} errors={} timeouts={} coalesced={}",
-        finale.requests, finale.completed, finale.errors, finale.timeouts, finale.coalesced
-    );
-
-    if report.ok != requests {
-        return Err(format!(
-            "expected {requests} successful replies, got {}",
-            report.ok
-        ));
-    }
-    if stats.completed != requests as u64 {
-        return Err(format!(
-            "server saw {} completions, expected {requests}",
-            stats.completed
-        ));
-    }
-    if finale.queue_depth != 0 {
-        return Err(format!(
-            "drain left queue_depth={} (expected 0)",
-            finale.queue_depth
-        ));
-    }
-    if socket.exists() {
-        return Err("drain left the socket file behind".into());
-    }
-    // A fixed-topology burst must coalesce onto exactly one closure build.
-    if finale.bank_misses != 1 {
-        return Err(format!(
-            "expected exactly one cold closure build, saw {} misses",
-            finale.bank_misses
-        ));
-    }
-    if finale.bank_hits + finale.bank_misses != requests as u64 {
-        return Err(format!(
-            "bank stats not exact: {} hits + {} misses != {requests} requests",
-            finale.bank_hits, finale.bank_misses
-        ));
-    }
-    println!("smoke: OK");
-    Ok(())
-}
-
-/// Self-contained CI chaos smoke (the `CHAOS_SMOKE` step), two phases:
-///
-/// 1. **Kill/restart**: a retrying closed-loop burst is mid-flight when
-///    the daemon is torn down and rebound on the same socket. The retry
-///    policy must carry every request across the restart — zero lost,
-///    all answered — and the clients, which send a network by key once
-///    the daemon holds it, must resend it inline to the empty restarted
-///    daemon and then go back to keyed requests, with no stale key
-///    refused.
-/// 2. **Overload**: an unpaced open-loop burst against a 1-slot queue.
-///    The daemon must shed (typed `Overloaded`) rather than queue
-///    without bound, keeping `requests == accepted + shed` and
-///    `accepted == completed + timeouts + errors` exact.
-fn cmd_chaos(args: &Args) -> Result<(), String> {
-    let socket = std::env::temp_dir().join(format!("elpc-chaos-{}.sock", std::process::id()));
-    let env_requests = std::env::var("CHAOS_SMOKE")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 1);
-    // Floor high enough that the burst is still mid-flight when the kill
-    // lands (the kill triggers on the first observed completion).
-    let requests: usize = match env_requests {
-        Some(n) => n,
-        None => args.num("requests", 48)?,
-    }
-    .max(192);
-    let connections: usize = args.num("connections", 4)?;
-    let workers: usize = args.num("workers", 2)?;
-    let instances = gen_instances(args, 1)?;
-
-    // Phase 1: kill + restart mid-burst under a retrying client fleet.
-    let config = ServerConfig {
-        workers,
-        ..ServerConfig::default()
-    };
-    let server = Server::bind(&socket, config.clone()).map_err(|e| format!("bind failed: {e}"))?;
-    println!("chaos: daemon on {} ({workers} workers)", socket.display());
-    let cfg = LoadConfig {
-        connections,
-        requests,
-        retry: Some(RetryPolicy {
-            max_attempts: 16,
-            base_ms: 20,
-            max_backoff_ms: 500,
-            ..RetryPolicy::default()
-        }),
-        ..LoadConfig::default()
-    };
-    let (report, restarted) = std::thread::scope(|s| -> Result<_, String> {
-        let burst = s.spawn(|| run_open_loop(&socket, &instances, &cfg));
-        // yank the daemon the moment the burst demonstrably started, so
-        // most of the request stream still lies ahead of the restart
-        while server.stats().completed == 0 {
-            std::thread::sleep(Duration::from_micros(500));
-        }
-        let mid = server.shutdown();
-        println!(
-            "chaos: daemon killed mid-burst ({} completed); restarting",
-            mid.completed
-        );
-        std::thread::sleep(Duration::from_millis(100));
-        let restarted =
-            Server::bind(&socket, config.clone()).map_err(|e| format!("rebind failed: {e}"))?;
-        let report = burst
-            .join()
-            .map_err(|_| "loadgen thread panicked".to_string())?
-            .map_err(|e| format!("loadgen: {e}"))?;
-        Ok((report, restarted))
-    })?;
-    let finale = restarted.shutdown();
-    print_report(&report);
-    if report.lost != 0 {
-        return Err(format!("{} replies lost across the restart", report.lost));
-    }
-    if report.ok != requests {
-        return Err(format!(
-            "expected all {requests} requests to survive the restart, got {} ok",
-            report.ok
-        ));
-    }
-    if finale.completed == 0 {
-        return Err("restarted daemon served nothing; the kill happened too late".into());
-    }
-    if finale.keyed == 0 {
-        return Err("no client sent a keyed request to the restarted daemon".into());
-    }
-    if finale.unknown_keys != 0 {
-        return Err(format!(
-            "the restarted daemon refused {} stale keys; reconnecting clients must forget them",
-            finale.unknown_keys
-        ));
-    }
-    if finale.requests != finale.accepted + finale.shed {
-        return Err("restarted daemon: requests != accepted + shed".into());
-    }
-    println!(
-        "chaos: restart survived; resumed daemon completed {} of {requests}, {} sent by key",
-        finale.completed, finale.keyed
-    );
-
-    // Phase 2: open-loop overload against a tiny queue must shed, not grow.
-    let server = Server::bind(
-        &socket,
-        ServerConfig {
-            workers: 1,
-            queue_capacity: 1,
-            ..ServerConfig::default()
-        },
-    )
-    .map_err(|e| format!("overload bind failed: {e}"))?;
-    let cfg = LoadConfig {
-        connections: connections.max(4),
-        requests: requests.max(64),
-        ..LoadConfig::default()
-    };
-    let report = run_open_loop(&socket, &instances, &cfg).map_err(|e| format!("loadgen: {e}"))?;
-    let stats = server.shutdown();
-    print_report(&report);
-    println!(
-        "chaos: overload stats requests={} accepted={} shed={} completed={} timeouts={} errors={} max_depth={}",
-        stats.requests,
-        stats.accepted,
-        stats.shed,
-        stats.completed,
-        stats.timeouts,
-        stats.errors,
-        stats.max_queue_depth
-    );
-    if stats.requests != stats.accepted + stats.shed {
-        return Err("admission accounting broken: requests != accepted + shed".into());
-    }
-    if stats.accepted != stats.completed + stats.timeouts + stats.errors {
-        return Err("drain accounting broken: accepted != completed + timeouts + errors".into());
-    }
-    if stats.max_queue_depth > 1 {
-        return Err(format!(
-            "queue bound violated: max depth {} > capacity 1",
-            stats.max_queue_depth
-        ));
-    }
-    if stats.shed == 0 {
-        return Err("overload burst never shed; the bound did nothing".into());
-    }
-    if report.shed as u64 != stats.shed {
-        return Err(format!(
-            "client saw {} shed replies, server counted {}",
-            report.shed, stats.shed
-        ));
-    }
-    println!("chaos: OK");
-    Ok(())
-}
-
 fn usage() -> String {
-    "usage: elpc-serve <serve|ping|solve|stats|shutdown|loadgen|smoke|chaos> [--flag value ...]\n\
+    "usage: elpc-serve <serve|ping|solve|stats|shutdown|loadgen> [--flag value ...]\n\
      run with a subcommand; see crate docs for the flag list"
         .to_string()
 }
@@ -521,8 +270,6 @@ fn main() -> ExitCode {
         "stats" => cmd_stats(&args),
         "shutdown" => cmd_shutdown(&args),
         "loadgen" => cmd_loadgen(&args),
-        "smoke" => cmd_smoke(&args),
-        "chaos" => cmd_chaos(&args),
         other => Err(format!("unknown subcommand {other:?}\n{}", usage())),
     });
     match run {

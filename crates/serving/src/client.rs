@@ -8,8 +8,11 @@
 //! The client survives a flaky daemon:
 //!
 //! * solve/remap calls derive **socket read/write timeouts** from the
-//!   request's own deadline, so a dead peer can never hang a deadlined
-//!   call forever;
+//!   request's own deadline (plus a slack), so a dead or wedged peer
+//!   cannot hang a deadlined call: the read fails with a
+//!   [`FrameError::Io`] (`WouldBlock`/`TimedOut`), a transient transport
+//!   failure. Every other call clears the timeouts, so one call's deadline
+//!   never carries over into the next;
 //! * any transport failure marks the connection broken and the next call
 //!   transparently **reconnects** (the daemon may have restarted under
 //!   the same socket path);
@@ -41,8 +44,9 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Socket-timeout headroom over a request's deadline: the server answers
-/// a typed `Timeout` itself at the deadline, so the raw socket timeout
-/// only fires when the daemon is actually gone or wedged.
+/// a typed `Timeout` itself when it dequeues an expired request, so the
+/// raw socket timeout fires only when the daemon is gone, wedged, or busy
+/// with other work for longer than the slack.
 const DEADLINE_SLACK_MS: u64 = 500;
 
 /// Bank keys a connection remembers, well above the daemon's default bank
@@ -275,7 +279,7 @@ impl Client {
     /// Sets socket read/write timeouts from a request deadline (`None`
     /// blocks indefinitely). The slack keeps the server's own typed
     /// `Timeout` reply the common outcome; the socket timeout is the
-    /// backstop for a daemon that died mid-request.
+    /// backstop for a daemon that died or stalled mid-request.
     fn set_deadline(&mut self, timeout_ms: Option<u64>) {
         let t =
             timeout_ms.map(|ms| Duration::from_millis(ms.saturating_add(DEADLINE_SLACK_MS).max(1)));
@@ -283,7 +287,8 @@ impl Client {
         let _ = self.stream.set_write_timeout(t);
     }
 
-    /// Sends one request and blocks for its response.
+    /// Sends one request and blocks for its response, with no socket
+    /// timeout.
     ///
     /// A transport failure (write error, short read, torn frame, EOF)
     /// marks the connection broken; the next call reconnects before
@@ -291,6 +296,13 @@ impl Client {
     /// belongs to [`Client::solve_with_retry`] or the caller.
     pub fn request(&mut self, body: Request) -> Result<Response, ClientError> {
         self.ensure_connected()?;
+        self.set_deadline(None);
+        self.round_trip(body)
+    }
+
+    /// Sends one request on the connected stream, under whatever socket
+    /// timeouts the caller set, and blocks for its response.
+    fn round_trip(&mut self, body: Request) -> Result<Response, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
         let payload = encode_request(&RequestFrame { id, body });
@@ -349,7 +361,7 @@ impl Client {
     }
 
     fn exchange_solved(&mut self, body: Request) -> Result<SolveReply, ClientError> {
-        match self.request(body)? {
+        match self.round_trip(body)? {
             Response::Solved(reply) => {
                 self.learn(&reply);
                 Ok(reply)
@@ -360,7 +372,7 @@ impl Client {
     }
 
     fn exchange_remapped(&mut self, body: Request) -> Result<RemapReply, ClientError> {
-        match self.request(body)? {
+        match self.round_trip(body)? {
             Response::Remapped(reply) => {
                 self.learn(&reply.reply);
                 Ok(reply)

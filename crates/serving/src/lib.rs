@@ -16,7 +16,8 @@
 //! * [`client`] — a small blocking client library (see its runnable
 //!   example) used by the CLI subcommands and the tests;
 //! * [`loadgen`] — an open-loop load generator (paced sends decoupled from
-//!   completions) behind the `serving` bench and the CI smoke run.
+//!   completions) behind the `serving` and `faults` benches and the
+//!   `elpc-serve loadgen` subcommand.
 //!
 //! A network the daemon already holds travels by key: [`Client`] sends a
 //! request's bank key instead of its network once a reply on the same

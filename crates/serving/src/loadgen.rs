@@ -8,8 +8,9 @@
 //! behind therefore shows up as growing latency, not as a silently
 //! throttled client — the honest way to measure a queueing system.
 //!
-//! The `serving` bench and the CI `SERVING_SMOKE` step both drive the
-//! daemon through [`run_open_loop`].
+//! The `serving` and `faults` benches, the `elpc-serve loadgen`
+//! subcommand and the serving test suites drive the daemon through
+//! [`run_open_loop`].
 //!
 //! Open-loop requests always carry their network inline: a writer that
 //! never waits for replies never sees the acknowledgement

@@ -23,13 +23,19 @@
 //!
 //! Decoding is total: malformed or truncated frames surface as a typed
 //! [`FrameError`], never a panic, and a clean EOF *between* frames is
-//! distinguished from a connection dying *mid*-frame. A network section
-//! is checked as it is read ([`BodyError`]): every count against the bytes
-//! left before anything is allocated for it, every endpoint against the
-//! node count, every parameter against [`Network::validate`]'s rules.
-//! Connectivity is not checked, so a disconnected network still reaches
-//! the solvers and is answered as infeasible. The round-trip property
-//! tests in `crates/serving/tests/protocol_roundtrip.rs` pin encode→decode
+//! distinguished from a connection dying *mid*-frame. [`read_frame`] is
+//! the one frame reader, for both ends: it blocks until a frame or EOF
+//! arrives, and a socket read timeout comes back as [`FrameError::Io`].
+//! The daemon ends a reader by shutting the read half of its socket,
+//! which reads as EOF once the bytes already sent are read.
+//!
+//! A network section is checked as it is read ([`BodyError`]): every
+//! count against the bytes left before anything is allocated for it,
+//! every endpoint against the node count, every parameter against
+//! [`Network::validate`]'s rules. Connectivity is not checked, so a
+//! disconnected network still reaches the solvers and is answered as
+//! infeasible. The round-trip property tests in
+//! `crates/serving/tests/protocol_roundtrip.rs` pin encode→decode
 //! bit-identity for every request and response variant, including every
 //! typed error and every bit of an inline network.
 //!
@@ -134,29 +140,15 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Reads one frame from a blocking reader.
+/// Reads one frame.
 ///
 /// Returns `Ok(None)` on a clean EOF before the first header byte; an EOF
-/// anywhere later is [`FrameError::Truncated`].
+/// anywhere later is [`FrameError::Truncated`]. A read timeout armed on
+/// the underlying socket surfaces as [`FrameError::Io`] (`WouldBlock` or
+/// `TimedOut`), whether or not part of the frame had arrived.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, FrameError> {
-    read_frame_poll(r, || false)
-}
-
-/// Reads one frame from a reader that may have a read timeout armed,
-/// polling `should_stop` whenever a read times out.
-///
-/// This is how the server drains: connection readers arm a short
-/// `SO_RCVTIMEO` and pass the drain flag as `should_stop`, so an idle
-/// connection notices shutdown within one timeout tick. A stop request
-/// *between* frames returns `Ok(None)` like a clean EOF; a stop (or EOF)
-/// *mid*-frame is [`FrameError::Truncated`] because the peer's message was
-/// cut off.
-pub fn read_frame_poll<R: Read>(
-    r: &mut R,
-    should_stop: impl Fn() -> bool,
-) -> Result<Option<Vec<u8>>, FrameError> {
     let mut header = [0u8; 4];
-    if !fill_poll(r, &mut header, 0, &should_stop)? {
+    if !fill(r, &mut header, 0)? {
         return Ok(None);
     }
     let len = u32::from_be_bytes(header) as usize;
@@ -167,27 +159,15 @@ pub fn read_frame_poll<R: Read>(
         });
     }
     let mut payload = vec![0u8; len];
-    if len > 0 && !fill_poll(r, &mut payload, 4, &should_stop)? {
-        // unreachable in practice: fill_poll only reports "stopped clean"
-        // when zero bytes were read, and the header already consumed four.
-        return Err(FrameError::Truncated {
-            expected: len,
-            got: 0,
-        });
-    }
+    fill(r, &mut payload, 4)?;
     Ok(Some(payload))
 }
 
-/// Fills `buf` completely. Returns `Ok(false)` when the stream ended (or
-/// `should_stop` fired) before *any* byte of the whole frame arrived —
-/// `prior` counts frame bytes already consumed by earlier fills, so a
-/// partial header or payload is reported as truncation instead.
-fn fill_poll<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
-    prior: usize,
-    should_stop: &impl Fn() -> bool,
-) -> Result<bool, FrameError> {
+/// Fills `buf` completely. Returns `Ok(false)` when the stream ended
+/// before *any* byte of the whole frame arrived — `prior` counts frame
+/// bytes already consumed by earlier fills, so a partial header or payload
+/// is reported as truncation instead.
+fn fill<R: Read>(r: &mut R, buf: &mut [u8], prior: usize) -> Result<bool, FrameError> {
     let mut filled = 0usize;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
@@ -203,18 +183,6 @@ fn fill_poll<R: Read>(
             }
             Ok(n) => filled += n,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if should_stop() {
-                    return if prior + filled == 0 {
-                        Ok(false)
-                    } else {
-                        Err(FrameError::Truncated {
-                            expected: prior + buf.len(),
-                            got: prior + filled,
-                        })
-                    };
-                }
-            }
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
@@ -263,6 +231,8 @@ pub struct SolveRequest {
     /// Cost model the closure and objective are evaluated under.
     pub cost: CostModel,
     /// Closure worker threads for this solve (0 = all CPUs, 1 = serial).
+    /// The daemon caps it at its own CPU count; answers are bit-identical
+    /// at any thread count, so the cap changes none.
     pub threads: usize,
     /// Optional wall-clock budget measured from enqueue; an expired
     /// request answers [`ServeError::Timeout`] instead of a reply.
@@ -302,6 +272,8 @@ pub struct KeyedSolveRequest {
     /// Cost model the closure and objective are evaluated under.
     pub cost: CostModel,
     /// Closure worker threads for this solve (0 = all CPUs, 1 = serial).
+    /// The daemon caps it at its own CPU count; answers are bit-identical
+    /// at any thread count, so the cap changes none.
     pub threads: usize,
     /// Optional wall-clock budget measured from enqueue.
     pub timeout_ms: Option<u64>,
@@ -1023,6 +995,25 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"world");
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+    }
+
+    /// A read timeout on the socket ends the read with an I/O error
+    /// instead of being retried, so a caller's deadline can fire.
+    #[test]
+    fn a_socket_read_timeout_ends_the_read() {
+        let (mut a, _b) = std::os::unix::net::UnixStream::pair().unwrap();
+        a.set_read_timeout(Some(std::time::Duration::from_millis(50)))
+            .unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(read_frame(&mut a));
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(2)) {
+            Ok(Err(FrameError::Io(e)))
+                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Ok(other) => panic!("expected a timed-out read, got {other:?}"),
+            Err(_) => panic!("read_frame ignored the socket's 50 ms read timeout"),
+        }
     }
 
     #[test]

@@ -38,15 +38,22 @@
 //! `requests == accepted + shed` at all times, and once drained
 //! `accepted == completed + timeouts + errors`.
 //!
+//! Connection readers block on plain reads. The daemon holds one entry
+//! per *live* connection (a stream clone and the reader's handle); a
+//! reader removes its own entry when its connection ends.
+//!
 //! Shutdown is a **drain**: new work is refused with
-//! [`ServeError::ShuttingDown`], connection readers notice the drain flag
-//! within one read-timeout tick, queued work still completes and its
-//! responses are written, then workers stop on sentinel jobs and the
+//! [`ServeError::ShuttingDown`], and every live connection's read half is
+//! shut down. A reader then still reads the frames its client sent before
+//! the drain, answers each (work with `ShuttingDown`), sees EOF and ends;
+//! the client's later writes fail with a broken pipe. Queued work still
+//! completes and its responses are written, since a read-half shutdown
+//! leaves the write half open. Then workers stop on sentinel jobs and the
 //! socket file is removed.
 
 use crate::keyset::KeySet;
 use crate::protocol::{
-    decode_request, encode_response, percentile, read_frame_poll, write_frame, FrameError,
+    decode_request, encode_response, percentile, read_frame, write_frame, FrameError,
     KeyedRemapRequest, KeyedSolveRequest, LatencySummary, RemapReply, Request, Response,
     ResponseFrame, ServeError, SolveFailure, SolveReply, SolveRequest, StatsReply,
 };
@@ -55,6 +62,7 @@ use elpc_mapping::{solver, Instance, NetworkDelta, NodeId};
 use elpc_workloads::bank::{BankedNetwork, ClosureBank};
 use elpc_workloads::ProblemInstance;
 use std::collections::HashMap;
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
@@ -70,9 +78,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// [`ClosureBank`] capacity in distinct keys.
     pub bank_capacity: usize,
-    /// Read-timeout tick on connection readers; bounds how long an idle
-    /// connection takes to notice a drain.
-    pub read_timeout: Duration,
     /// Admission bound on queued-plus-executing work (0 = unbounded).
     /// Requests arriving when the queue is full are **shed** with a typed
     /// [`ServeError::Overloaded`] carrying a `retry_after_ms` hint instead
@@ -85,7 +90,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 0,
             bank_capacity: 64,
-            read_timeout: Duration::from_millis(50),
             queue_capacity: 1024,
         }
     }
@@ -200,7 +204,9 @@ struct Shared {
     tx: channel::Sender<Job>,
     draining: AtomicBool,
     shutdown_requested: AtomicBool,
-    conns: parking_lot::Mutex<Vec<JoinHandle<()>>>,
+    /// Live connections by id: a clone of the stream, so a drain can shut
+    /// its read half, and the reader's handle, so the drain can join it.
+    conns: parking_lot::Mutex<HashMap<u64, (UnixStream, JoinHandle<()>)>>,
     coalesce: StdMutex<HashMap<u64, Arc<InFlight>>>,
     /// Keys whose leader's solve never materialized a closure (a strict
     /// solver that works link-level, not on the metric closure). Such keys
@@ -208,7 +214,8 @@ struct Shared {
     /// serialize independent solves. Bounded first-in, first-out at the
     /// bank's capacity.
     no_closure: parking_lot::Mutex<KeySet>,
-    read_timeout: Duration,
+    /// CPUs this process may use: the cap on a request's `threads`.
+    cpus: usize,
     workers: u64,
     queue_capacity: u64,
     stats: Counters,
@@ -223,10 +230,10 @@ impl Shared {
             tx,
             draining: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
-            conns: parking_lot::Mutex::new(Vec::new()),
+            conns: parking_lot::Mutex::new(HashMap::new()),
             coalesce: StdMutex::new(HashMap::new()),
             no_closure: parking_lot::Mutex::new(KeySet::with_capacity(bank_capacity)),
-            read_timeout: config.read_timeout,
+            cpus: cpu_count(),
             workers: workers as u64,
             queue_capacity: config.queue_capacity as u64,
             stats: Counters::default(),
@@ -235,6 +242,14 @@ impl Shared {
 
     fn draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
+    }
+
+    /// A request's `threads` capped at the CPUs this process may use
+    /// (`0`, all CPUs, stays `0`). Results are bit-identical at any thread
+    /// count, so the cap changes no answer, only how many threads one
+    /// request can make the daemon start.
+    fn capped_threads(&self, threads: usize) -> usize {
+        threads.min(self.cpus)
     }
 
     /// `retry_after_ms` hint answered with [`ServeError::Overloaded`]:
@@ -284,6 +299,11 @@ impl Shared {
     }
 }
 
+/// CPUs this process may use (1 when unknown).
+fn cpu_count() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Backlog-drain estimate for shed replies: `depth` jobs at
 /// `mean_latency_ms` each across `workers` lanes, clamped to
 /// [10 ms, 10 s] so clients never busy-spin or stall for minutes on a
@@ -314,7 +334,7 @@ impl Server {
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path)?;
         let workers = if config.workers == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
+            cpu_count()
         } else {
             config.workers
         };
@@ -396,10 +416,14 @@ impl Server {
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
-        // Connection readers poll the drain flag through their read
-        // timeout, so joining them bounds at one tick per connection.
-        let conns: Vec<_> = std::mem::take(&mut *self.shared.conns.lock());
-        for h in conns {
+        // The acceptor is gone, so no connection is added from here on.
+        // Shutting a read half wakes its blocked reader, which answers what
+        // was already sent, then sees EOF.
+        let conns = std::mem::take(&mut *self.shared.conns.lock());
+        for (stream, _) in conns.values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        for (_, (_, h)) in conns {
             let _ = h.join();
         }
         // No producers remain: everything queued ahead of the sentinels
@@ -425,18 +449,28 @@ impl Drop for Server {
 // ---------------------------------------------------------------------------
 
 fn acceptor_loop(shared: &Arc<Shared>, listener: &UnixListener) {
-    loop {
+    for id in 0u64.. {
         match listener.accept() {
             Ok((stream, _)) => {
                 if shared.draining() {
                     break; // the wake-up connection, or a drain race
                 }
+                let Ok(handle) = stream.try_clone() else {
+                    continue;
+                };
+                // Held across the spawn, so the reader's own removal of
+                // its entry cannot run before the entry exists.
+                let mut conns = shared.conns.lock();
                 let sh = Arc::clone(shared);
                 let spawned = std::thread::Builder::new()
                     .name("elpc-serve-conn".into())
-                    .spawn(move || connection_loop(&sh, stream));
+                    .spawn(move || {
+                        connection_loop(&sh, stream);
+                        // ended: dropping its entry detaches this thread
+                        sh.conns.lock().remove(&id);
+                    });
                 if let Ok(h) = spawned {
-                    shared.conns.lock().push(h);
+                    conns.insert(id, (handle, h));
                 }
             }
             Err(_) => {
@@ -449,17 +483,17 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: &UnixListener) {
 }
 
 fn connection_loop(shared: &Arc<Shared>, stream: UnixStream) {
-    let _ = stream.set_read_timeout(Some(shared.read_timeout));
     let writer: SharedWriter = match stream.try_clone() {
         Ok(w) => Arc::new(parking_lot::Mutex::new(w)),
         Err(_) => return,
     };
     let mut reader = stream;
     loop {
-        let frame = match read_frame_poll(&mut reader, || shared.draining()) {
+        let frame = match read_frame(&mut reader) {
             Ok(Some(payload)) => payload,
-            // Clean EOF or drain between frames; queued work for this
-            // connection still answers through the writer clone.
+            // Clean EOF between frames (a drain shuts the read half, so it
+            // ends here too); queued work for this connection still
+            // answers through the writer clone.
             Ok(None) => break,
             // Truncated/oversized/io: the stream is no longer framed;
             // nothing can be answered reliably, so drop the connection.
@@ -613,11 +647,12 @@ fn try_admit(shared: &Shared) -> Option<u64> {
     }
 }
 
-fn enqueue(shared: &Arc<Shared>, id: u64, work: Work, writer: &SharedWriter) {
+fn enqueue(shared: &Arc<Shared>, id: u64, mut work: Work, writer: &SharedWriter) {
     if shared.draining() {
         respond(writer, id, Response::Error(ServeError::ShuttingDown));
         return;
     }
+    work.solve.threads = shared.capped_threads(work.solve.threads);
     shared.stats.requests.fetch_add(1, Ordering::Relaxed);
     let Some(depth) = try_admit(shared) else {
         // Queue full: shed instead of queueing without bound. The typed
@@ -929,7 +964,6 @@ mod tests {
     fn test_shared(queue_capacity: usize) -> Shared {
         let config = ServerConfig {
             bank_capacity: 1,
-            read_timeout: Duration::from_millis(1),
             queue_capacity,
             ..ServerConfig::default()
         };
@@ -956,6 +990,14 @@ mod tests {
         assert_eq!(try_admit(&shared), None); // full: shed
         shared.stats.queue_depth.fetch_sub(1, Ordering::SeqCst);
         assert_eq!(try_admit(&shared), Some(3)); // slot freed: admitted again
+    }
+
+    #[test]
+    fn request_threads_are_capped_at_the_cpu_count() {
+        let shared = test_shared(1);
+        assert_eq!(shared.capped_threads(usize::MAX), cpu_count());
+        assert_eq!(shared.capped_threads(0), 0, "0 still means all CPUs");
+        assert_eq!(shared.capped_threads(1), 1);
     }
 
     #[test]

@@ -54,7 +54,10 @@ fn solve_req(inst: &ProblemInstance) -> SolveRequest {
 /// worker, any further request is shed with a typed `Overloaded` reply —
 /// deterministically, because the slot is provably held. After the
 /// blocker completes, the next request is admitted again, and the final
-/// statistics balance exactly.
+/// statistics balance exactly. Then an unpaced open-loop flood at a fresh
+/// 1-slot daemon is shed, not queued: every request is answered, the
+/// client counts exactly the shed replies the daemon counted, and the
+/// depth never passes the bound.
 #[test]
 fn full_queue_sheds_with_typed_overloaded_and_exact_accounting() {
     let slow = slow_instance();
@@ -115,6 +118,38 @@ fn full_queue_sheds_with_typed_overloaded_and_exact_accounting() {
         stats.max_queue_depth, 1,
         "the queue bound is exact: depth never exceeded capacity"
     );
+
+    const FLOOD: usize = 192;
+    let socket = socket_path("flood");
+    let server = Server::bind(
+        &socket,
+        ServerConfig {
+            workers: 1,
+            queue_capacity: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let cfg = LoadConfig {
+        connections: 4,
+        requests: FLOOD,
+        ..LoadConfig::default()
+    };
+    let report = run_open_loop(&socket, std::slice::from_ref(&slow), &cfg).expect("flood");
+    let stats = server.shutdown();
+    assert_eq!(report.lost, 0, "every flooded request is answered");
+    assert_eq!(report.ok + report.shed, FLOOD, "answered ok or shed");
+    assert!(stats.shed > 0, "the flood must shed at a 1-slot bound");
+    assert_eq!(
+        report.shed as u64, stats.shed,
+        "the client sees exactly the shed replies the daemon counted"
+    );
+    assert!(stats.max_queue_depth <= 1, "depth never passes the bound");
+    assert_eq!(stats.requests, stats.accepted + stats.shed);
+    assert_eq!(
+        stats.accepted,
+        stats.completed + stats.timeouts + stats.errors
+    );
 }
 
 /// A retrying client backs off on the shed reply (honoring its
@@ -171,7 +206,9 @@ fn retry_policy_rides_out_overload() {
 
 /// Kill the daemon in the middle of a retrying closed-loop burst, rebind
 /// it on the same socket, and require zero lost replies: every request
-/// is answered exactly once, by one daemon or the other.
+/// is answered exactly once, by one daemon or the other. The clients must
+/// go back to sending the network by key, and no key they learned from
+/// the first daemon may reach the second.
 #[test]
 fn killed_and_restarted_daemon_loses_no_replies() {
     let inst = quick_instance();
@@ -236,6 +273,10 @@ fn killed_and_restarted_daemon_loses_no_replies() {
         );
         assert_eq!(stats.queue_depth, 0, "{tag}: drain left work queued");
     }
+    // the reconnected clients sent inline to the empty restarted daemon,
+    // then went back to keys it acknowledged, never a stale one
+    assert!(finale.keyed > 0, "no keyed request reached the restart");
+    assert_eq!(finale.unknown_keys, 0, "a stale key reached the restart");
 }
 
 /// Bursts of error-answered requests must not shrink the worker pool or

@@ -15,7 +15,8 @@
 //! in a typed refusal and an inline answer, with the ledger still exact.
 //! An inline network that names a node it does not have, or breaks a
 //! parameter rule, is refused as `Malformed` under its request's id when
-//! its frame decodes, before admission.
+//! its frame decodes, before admission. A deadlined solve against a peer
+//! that never answers ends with a transient error.
 
 use elpc_mapping::{registry, CostModel, EdgeId, NetworkDelta, NodeId, SolveContext};
 use elpc_netsim::Link;
@@ -195,6 +196,35 @@ fn unknown_solver_is_a_typed_error_not_a_hang() {
         other => panic!("expected UnknownSolver, got {other}"),
     }
     server.shutdown();
+}
+
+/// A deadlined solve against a peer that reads the request but never
+/// answers ends with a transient transport error once its socket timeout
+/// (deadline plus slack) fires, instead of blocking forever.
+#[test]
+fn a_deadlined_solve_against_a_silent_peer_ends_transient() {
+    let socket = socket_path("silent");
+    let _ = std::fs::remove_file(&socket);
+    let listener = std::os::unix::net::UnixListener::bind(&socket).expect("bind");
+    std::thread::spawn(move || {
+        if let Ok((mut stream, _)) = listener.accept() {
+            let _ = std::io::copy(&mut stream, &mut std::io::sink());
+        }
+    });
+    let mut client = Client::connect(&socket).expect("connect");
+    let inst = InstanceSpec::sized(3, 8, 14).generate(7).expect("gen");
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut req = solve_request(&inst, "elpc_delay_routed", 1);
+        req.timeout_ms = Some(100);
+        let _ = tx.send(client.solve(req));
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(5)) {
+        Ok(Err(e)) => assert!(e.is_transient(), "expected a transient error, got {e}"),
+        Ok(Ok(reply)) => panic!("a silent peer cannot answer, got {reply:?}"),
+        Err(_) => panic!("the 100 ms deadline's socket timeout never fired"),
+    }
+    let _ = std::fs::remove_file(&socket);
 }
 
 #[test]
