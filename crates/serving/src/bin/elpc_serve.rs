@@ -122,10 +122,11 @@ fn retry_policy(args: &Args) -> Result<Option<RetryPolicy>, String> {
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let socket = args.socket()?;
+    let default = ServerConfig::default();
     let config = ServerConfig {
-        workers: args.num("workers", 0)?,
-        bank_capacity: args.num("bank-capacity", 64)?,
-        queue_capacity: args.num("queue-capacity", ServerConfig::default().queue_capacity)?,
+        workers: args.num("workers", default.workers)?,
+        bank_capacity: args.num("bank-capacity", default.bank_capacity)?,
+        queue_capacity: args.num("queue-capacity", default.queue_capacity)?,
     };
     let server = Server::bind(&socket, config).map_err(|e| format!("bind failed: {e}"))?;
     println!(
@@ -208,17 +209,15 @@ fn cmd_shutdown(args: &Args) -> Result<(), String> {
 
 fn cmd_loadgen(args: &Args) -> Result<(), String> {
     let socket = args.socket()?;
+    let default = LoadConfig::default();
     let cfg = LoadConfig {
-        connections: args.num("connections", 4)?,
-        requests: args.num("requests", 64)?,
-        rate_per_sec: args.num("rate", 0.0)?,
-        solver: args
-            .get("solver")
-            .unwrap_or("elpc_delay_routed")
-            .to_string(),
-        threads: args.num("threads", 1)?,
+        connections: args.num("connections", default.connections)?,
+        requests: args.num("requests", default.requests)?,
+        rate_per_sec: args.num("rate", default.rate_per_sec)?,
+        solver: args.get("solver").map_or(default.solver, String::from),
+        threads: args.num("threads", default.threads)?,
         retry: retry_policy(args)?,
-        ..LoadConfig::default()
+        ..default
     };
     let instances = gen_instances(args, args.num("distinct", 1)?)?;
     let report = run_open_loop(&socket, &instances, &cfg).map_err(|e| format!("loadgen: {e}"))?;

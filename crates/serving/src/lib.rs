@@ -39,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod histogram;
 mod keyset;
 pub mod loadgen;
 pub mod protocol;

@@ -21,16 +21,19 @@
 //! (typed `Overloaded` refusals), [`LoadReport::timeouts`],
 //! [`LoadReport::server_errors`], and [`LoadReport::lost`] (sent but
 //! never answered) — so overload experiments can tell load-shedding from
-//! failure. Setting [`LoadConfig::retry`] switches to a **closed-loop**
+//! failure. Ok latencies go into the daemon's bounded log-linear histogram
+//! type (relative precision 2⁻⁷; exact count, mean and max), so a run's
+//! memory does not grow with its request count. Setting [`LoadConfig::retry`] switches to a **closed-loop**
 //! mode built on [`Client::solve_with_retry`]: each connection waits for
 //! (and retries) every reply before sending the next request, which is
 //! the mode chaos tests use to prove no accepted request is lost across
 //! a daemon restart.
 
 use crate::client::{Client, ClientError, RetryPolicy};
+use crate::histogram::LatencyHistogram;
 use crate::protocol::{
-    decode_response, encode_request, percentile, read_frame, write_frame, Request, RequestFrame,
-    Response, ServeError, SolveRequest,
+    decode_response, encode_request, read_frame, write_frame, Request, RequestFrame, Response,
+    ServeError, SolveRequest,
 };
 use elpc_mapping::CostModel;
 use elpc_workloads::ProblemInstance;
@@ -78,6 +81,19 @@ impl Default for LoadConfig {
             threads: 1,
             timeout_ms: None,
             retry: None,
+        }
+    }
+}
+
+impl LoadConfig {
+    /// The solve request this run sends for `instance`.
+    fn request(&self, instance: &ProblemInstance) -> SolveRequest {
+        SolveRequest {
+            solver: self.solver.clone(),
+            cost: self.cost,
+            threads: self.threads,
+            timeout_ms: self.timeout_ms,
+            instance: instance.clone(),
         }
     }
 }
@@ -137,133 +153,77 @@ pub fn run_open_loop(
     };
 
     // Pre-open every connection so the measured window is pure serving.
-    let mut streams = Vec::with_capacity(connections);
-    for _ in 0..connections {
-        streams.push(UnixStream::connect(socket)?);
-    }
+    let streams: Vec<_> = (0..connections)
+        .map(|_| UnixStream::connect(socket))
+        .collect::<std::io::Result<_>>()?;
 
-    let latencies = Mutex::new(Vec::<f64>::with_capacity(cfg.requests));
-    let sent = AtomicUsize::new(0);
-    let ok = AtomicUsize::new(0);
-    let shed = AtomicUsize::new(0);
-    let timeouts = AtomicUsize::new(0);
-    let server_errors = AtomicUsize::new(0);
+    let in_flight: Vec<Mutex<HashMap<u64, Instant>>> =
+        (0..connections).map(|_| Mutex::default()).collect();
+    let tally = Tally::default();
     let start = Instant::now();
 
     std::thread::scope(|s| -> std::io::Result<()> {
-        for (conn_idx, stream) in streams.into_iter().enumerate() {
-            let writer_stream = stream.try_clone()?;
+        for (conn_idx, mut r) in streams.into_iter().enumerate() {
+            let mut w = r.try_clone()?;
             // ids this connection owns: the global request indices
             // congruent to conn_idx mod connections.
-            let my_ids: Vec<usize> = (0..cfg.requests)
-                .filter(|k| k % connections == conn_idx)
-                .collect();
+            let my_ids: Vec<usize> = (conn_idx..cfg.requests).step_by(connections).collect();
             let expect = my_ids.len();
-            let in_flight = Mutex::new(HashMap::<u64, Instant>::with_capacity(expect));
-
-            let latencies = &latencies;
-            let sent = &sent;
-            let ok = &ok;
-            let shed = &shed;
-            let timeouts = &timeouts;
-            let server_errors = &server_errors;
-            let cfg_ref = cfg;
-
+            let (in_flight, tally) = (&in_flight[conn_idx], &tally);
+            // Writer: paced sends on the global schedule, never waiting
+            // for responses (open loop).
             s.spawn(move || {
-                let in_flight = &in_flight;
-                std::thread::scope(|inner| {
-                    // Writer: paced sends on the global schedule, never
-                    // waiting for responses (open loop).
-                    let mut w = writer_stream;
-                    inner.spawn(move || {
-                        for k in my_ids {
-                            if !interval.is_zero() {
-                                let due = start + interval.mul_f64(k as f64);
-                                let now = Instant::now();
-                                if due > now {
-                                    std::thread::sleep(due - now);
-                                }
-                            }
-                            let body = Request::Solve(SolveRequest {
-                                solver: cfg_ref.solver.clone(),
-                                cost: cfg_ref.cost,
-                                threads: cfg_ref.threads,
-                                timeout_ms: cfg_ref.timeout_ms,
-                                instance: instances[k % instances.len()].clone(),
-                            });
-                            let frame = RequestFrame { id: k as u64, body };
-                            let payload = encode_request(&frame);
-                            in_flight
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .insert(frame.id, Instant::now());
-                            if write_frame(&mut w, payload.as_bytes()).is_err() {
-                                break;
-                            }
-                            sent.fetch_add(1, Ordering::Relaxed);
+                for k in my_ids {
+                    if !interval.is_zero() {
+                        let due = start + interval.mul_f64(k as f64);
+                        let now = Instant::now();
+                        if due > now {
+                            std::thread::sleep(due - now);
                         }
-                    });
-                    // Reader: match responses by id until the connection's
-                    // share is answered or the server hangs up.
-                    let mut r = stream;
-                    inner.spawn(move || {
-                        let mut received = 0usize;
-                        while received < expect {
-                            let payload = match read_frame(&mut r) {
-                                Ok(Some(p)) => p,
-                                Ok(None) | Err(_) => break,
-                            };
-                            let Ok(frame) = decode_response(&payload) else {
-                                break;
-                            };
-                            let sent_at = in_flight
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .remove(&frame.id);
-                            received += 1;
-                            match (frame.body, sent_at) {
-                                (Response::Solved(_), Some(t0)) => {
-                                    ok.fetch_add(1, Ordering::Relaxed);
-                                    latencies
-                                        .lock()
-                                        .unwrap_or_else(|e| e.into_inner())
-                                        .push(t0.elapsed().as_secs_f64() * 1e3);
-                                }
-                                (Response::Error(ServeError::Overloaded { .. }), _) => {
-                                    shed.fetch_add(1, Ordering::Relaxed);
-                                }
-                                (Response::Error(ServeError::Timeout { .. }), _) => {
-                                    timeouts.fetch_add(1, Ordering::Relaxed);
-                                }
-                                _ => {
-                                    server_errors.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                    });
-                });
+                    }
+                    let body = Request::Solve(cfg.request(&instances[k % instances.len()]));
+                    let frame = RequestFrame { id: k as u64, body };
+                    let payload = encode_request(&frame);
+                    in_flight
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .insert(frame.id, Instant::now());
+                    if write_frame(&mut w, payload.as_bytes()).is_err() {
+                        break;
+                    }
+                    bump(&tally.sent);
+                }
+            });
+            // Reader: match responses by id until the connection's share
+            // is answered or the server hangs up.
+            s.spawn(move || {
+                let mut received = 0usize;
+                while received < expect {
+                    let payload = match read_frame(&mut r) {
+                        Ok(Some(p)) => p,
+                        Ok(None) | Err(_) => break,
+                    };
+                    let Ok(frame) = decode_response(&payload) else {
+                        break;
+                    };
+                    let sent_at = in_flight
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .remove(&frame.id);
+                    received += 1;
+                    match (frame.body, sent_at) {
+                        (Response::Solved(_), Some(t0)) => tally.ok.record(t0.elapsed()),
+                        (Response::Error(ServeError::Overloaded { .. }), _) => bump(&tally.shed),
+                        (Response::Error(ServeError::Timeout { .. }), _) => bump(&tally.timeouts),
+                        _ => bump(&tally.server_errors),
+                    }
+                }
             });
         }
         Ok(())
     })?;
 
-    let lat = latencies.into_inner().unwrap_or_else(|e| e.into_inner());
-    let sent = sent.into_inner();
-    let ok = ok.into_inner();
-    let shed = shed.into_inner();
-    let timeouts = timeouts.into_inner();
-    let server_errors = server_errors.into_inner();
-    let lost = sent.saturating_sub(ok + shed + timeouts + server_errors);
-    Ok(build_report(
-        start.elapsed().as_secs_f64(),
-        lat,
-        sent,
-        ok,
-        shed,
-        timeouts,
-        server_errors,
-        lost,
-    ))
+    Ok(tally.report(start.elapsed().as_secs_f64()))
 }
 
 /// The closed-loop retry mode behind [`LoadConfig::retry`]: every
@@ -278,114 +238,87 @@ fn run_closed_loop(
 ) -> std::io::Result<LoadReport> {
     let policy = cfg.retry.clone().expect("run_closed_loop needs a policy");
     let connections = cfg.connections.max(1);
-    let mut clients = Vec::with_capacity(connections);
-    for _ in 0..connections {
-        clients.push(Client::connect(socket)?);
-    }
+    let clients: Vec<_> = (0..connections)
+        .map(|_| Client::connect(socket))
+        .collect::<std::io::Result<_>>()?;
 
-    let latencies = Mutex::new(Vec::<f64>::with_capacity(cfg.requests));
-    let sent = AtomicUsize::new(0);
-    let ok = AtomicUsize::new(0);
-    let shed = AtomicUsize::new(0);
-    let timeouts = AtomicUsize::new(0);
-    let server_errors = AtomicUsize::new(0);
-    let lost = AtomicUsize::new(0);
+    let tally = Tally::default();
     let start = Instant::now();
 
     std::thread::scope(|s| {
         for (conn_idx, mut client) in clients.into_iter().enumerate() {
-            let my_ids: Vec<usize> = (0..cfg.requests)
-                .filter(|k| k % connections == conn_idx)
-                .collect();
+            let my_ids = (conn_idx..cfg.requests).step_by(connections);
             let policy = RetryPolicy {
                 seed: policy.seed ^ (conn_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 ..policy.clone()
             };
-            let (latencies, sent, ok) = (&latencies, &sent, &ok);
-            let (shed, timeouts, server_errors, lost) = (&shed, &timeouts, &server_errors, &lost);
-            let cfg_ref = cfg;
+            let tally = &tally;
             s.spawn(move || {
                 for k in my_ids {
-                    let req = SolveRequest {
-                        solver: cfg_ref.solver.clone(),
-                        cost: cfg_ref.cost,
-                        threads: cfg_ref.threads,
-                        timeout_ms: cfg_ref.timeout_ms,
-                        instance: instances[k % instances.len()].clone(),
-                    };
-                    sent.fetch_add(1, Ordering::Relaxed);
+                    let req = cfg.request(&instances[k % instances.len()]);
+                    bump(&tally.sent);
                     let t0 = Instant::now();
                     match client.solve_with_retry(&req, &policy) {
-                        Ok(_) => {
-                            ok.fetch_add(1, Ordering::Relaxed);
-                            latencies
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .push(t0.elapsed().as_secs_f64() * 1e3);
-                        }
+                        Ok(_) => tally.ok.record(t0.elapsed()),
                         Err(ClientError::Server(ServeError::Overloaded { .. })) => {
-                            shed.fetch_add(1, Ordering::Relaxed);
+                            bump(&tally.shed)
                         }
                         Err(ClientError::Server(ServeError::Timeout { .. })) => {
-                            timeouts.fetch_add(1, Ordering::Relaxed);
+                            bump(&tally.timeouts)
                         }
-                        Err(ClientError::Io(_) | ClientError::Closed | ClientError::Frame(_)) => {
-                            lost.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            server_errors.fetch_add(1, Ordering::Relaxed);
-                        }
+                        // no reply: the report counts the request as lost
+                        Err(ClientError::Io(_) | ClientError::Closed | ClientError::Frame(_)) => {}
+                        Err(_) => bump(&tally.server_errors),
                     }
                 }
             });
         }
     });
 
-    Ok(build_report(
-        start.elapsed().as_secs_f64(),
-        latencies.into_inner().unwrap_or_else(|e| e.into_inner()),
-        sent.into_inner(),
-        ok.into_inner(),
-        shed.into_inner(),
-        timeouts.into_inner(),
-        server_errors.into_inner(),
-        lost.into_inner(),
-    ))
+    Ok(tally.report(start.elapsed().as_secs_f64()))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn build_report(
-    elapsed_s: f64,
-    mut lat: Vec<f64>,
-    sent: usize,
-    ok: usize,
-    shed: usize,
-    timeouts: usize,
-    server_errors: usize,
-    lost: usize,
-) -> LoadReport {
-    lat.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    LoadReport {
-        sent,
-        ok,
-        errors: shed + timeouts + server_errors + lost,
-        shed,
-        timeouts,
-        server_errors,
-        lost,
-        elapsed_s,
-        throughput_rps: if elapsed_s > 0.0 {
-            ok as f64 / elapsed_s
-        } else {
-            0.0
-        },
-        mean_ms: if lat.is_empty() {
-            0.0
-        } else {
-            lat.iter().sum::<f64>() / lat.len() as f64
-        },
-        p50_ms: percentile(&lat, 0.50),
-        p99_ms: percentile(&lat, 0.99),
-        max_ms: lat.last().copied().unwrap_or(0.0),
+/// What one run's threads count, shared by reference: every request sent,
+/// the latency of each ok reply (its count is `ok`), and each typed
+/// refusal or error. A sent request with none of these is lost.
+#[derive(Default)]
+struct Tally {
+    sent: AtomicUsize,
+    ok: LatencyHistogram,
+    shed: AtomicUsize,
+    timeouts: AtomicUsize,
+    server_errors: AtomicUsize,
+}
+
+fn bump(n: &AtomicUsize) {
+    n.fetch_add(1, Ordering::Relaxed);
+}
+
+impl Tally {
+    fn report(self, elapsed_s: f64) -> LoadReport {
+        let [sent, shed, timeouts, server_errors] =
+            [self.sent, self.shed, self.timeouts, self.server_errors].map(AtomicUsize::into_inner);
+        let latency = self.ok.summary();
+        let ok = latency.count as usize;
+        let lost = sent.saturating_sub(ok + shed + timeouts + server_errors);
+        LoadReport {
+            sent,
+            ok,
+            errors: shed + timeouts + server_errors + lost,
+            shed,
+            timeouts,
+            server_errors,
+            lost,
+            elapsed_s,
+            throughput_rps: if elapsed_s > 0.0 {
+                ok as f64 / elapsed_s
+            } else {
+                0.0
+            },
+            mean_ms: self.ok.mean_ms().unwrap_or(0.0),
+            p50_ms: latency.p50_ms,
+            p99_ms: latency.p99_ms,
+            max_ms: latency.max_ms,
+        }
     }
 }

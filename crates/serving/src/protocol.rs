@@ -46,6 +46,9 @@
 //! network. A key the daemon cannot resolve is refused with
 //! [`ServeError::UnknownNetwork`] before admission, and the client sends
 //! the request again inline.
+//!
+//! [`StatsReply::latency`] comes from the daemon's bounded log-linear
+//! latency histogram (relative precision 2⁻⁷; see [`LatencySummary`]).
 
 use elpc_mapping::{CostModel, MappingError, NetworkDelta};
 use elpc_netgraph::NodeId;
@@ -375,27 +378,19 @@ pub struct RemapReply {
     pub repaired: bool,
 }
 
-/// Nearest-rank percentile of an ascending slice: the smallest value with
-/// at least `q · n` values at or below it (0 when empty). Every latency
-/// summary the daemon and the load generator report uses this rule.
-pub fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Latency summary over completed requests, in milliseconds.
+/// Latency summary over completed requests, in milliseconds, timed from
+/// admission onto the queue to a ready reply (decode and write excluded).
+/// A percentile is the upper edge of its nearest-rank histogram bucket:
+/// at most 2⁻⁷ above the exact value, never below it or above `max_ms`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatencySummary {
     /// Completed requests the percentiles are over.
     pub count: u64,
-    /// Median end-to-end latency.
+    /// Median admission-to-reply latency.
     pub p50_ms: f64,
-    /// 99th-percentile end-to-end latency.
+    /// 99th-percentile admission-to-reply latency.
     pub p99_ms: f64,
-    /// Worst observed latency.
+    /// Worst admission-to-reply latency, exact.
     pub max_ms: f64,
 }
 
@@ -437,7 +432,8 @@ pub struct StatsReply {
     /// Keyed requests refused with [`ServeError::UnknownNetwork`]; these
     /// never reach admission, so they are not counted in `requests`.
     pub unknown_keys: u64,
-    /// End-to-end latency summary over completed requests.
+    /// Admission-to-reply latency summary over completed requests
+    /// (`latency.count == completed`).
     pub latency: LatencySummary,
 }
 
@@ -1094,19 +1090,6 @@ mod tests {
         ] {
             roundtrip_response(Response::Error(err));
         }
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        let v: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 0.50), 50.0);
-        assert_eq!(percentile(&v, 0.90), 90.0);
-        assert_eq!(percentile(&v, 0.99), 99.0);
-        assert_eq!(percentile(&v, 1.0), 100.0);
-        assert_eq!(percentile(&[1.0, 2.0, 3.0], 0.5), 2.0);
-        assert_eq!(percentile(&[7.0], 0.99), 7.0);
     }
 
     #[test]

@@ -51,11 +51,12 @@
 //! leaves the write half open. Then workers stop on sentinel jobs and the
 //! socket file is removed.
 
+use crate::histogram::LatencyHistogram;
 use crate::keyset::KeySet;
 use crate::protocol::{
-    decode_request, encode_response, percentile, read_frame, write_frame, FrameError,
-    KeyedRemapRequest, KeyedSolveRequest, LatencySummary, RemapReply, Request, Response,
-    ResponseFrame, ServeError, SolveFailure, SolveReply, SolveRequest, StatsReply,
+    decode_request, encode_response, read_frame, write_frame, FrameError, KeyedRemapRequest,
+    KeyedSolveRequest, RemapReply, Request, Response, ResponseFrame, ServeError, SolveFailure,
+    SolveReply, SolveRequest, StatsReply,
 };
 use crossbeam::channel;
 use elpc_mapping::{solver, Instance, NetworkDelta, NodeId};
@@ -155,15 +156,15 @@ struct WorkItem {
 
 type SharedWriter = Arc<parking_lot::Mutex<UnixStream>>;
 
-/// One in-flight closure build; followers block on the condvar until the
-/// leader finishes (successfully or not).
+/// A one-way flag threads block on until it is released: a closure build
+/// its followers wait for, or a client's shutdown request.
 #[derive(Default)]
-struct InFlight {
+struct Latch {
     done: StdMutex<bool>,
     cv: Condvar,
 }
 
-impl InFlight {
+impl Latch {
     fn wait(&self) {
         let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
         while !*done {
@@ -171,7 +172,7 @@ impl InFlight {
         }
     }
 
-    fn finish(&self) {
+    fn release(&self) {
         *self.done.lock().unwrap_or_else(|e| e.into_inner()) = true;
         self.cv.notify_all();
     }
@@ -182,7 +183,6 @@ struct Counters {
     requests: AtomicU64,
     accepted: AtomicU64,
     shed: AtomicU64,
-    completed: AtomicU64,
     errors: AtomicU64,
     timeouts: AtomicU64,
     coalesced: AtomicU64,
@@ -190,12 +190,10 @@ struct Counters {
     unknown_keys: AtomicU64,
     queue_depth: AtomicU64,
     max_queue_depth: AtomicU64,
-    /// Sum of completed-request latencies in microseconds; with
-    /// `completed` this yields the mean latency the shed path's
-    /// `retry_after_ms` hint is derived from without taking the
-    /// latencies lock on the hot refusal path.
-    latency_sum_us: AtomicU64,
-    latencies: parking_lot::Mutex<Vec<f64>>,
+    /// Every completed request's latency from admission to a ready reply;
+    /// its count is `completed`, and its exact mean feeds the shed path's
+    /// `retry_after_ms` hint without a lock.
+    latency: LatencyHistogram,
 }
 
 struct Shared {
@@ -203,11 +201,11 @@ struct Shared {
     bank: ClosureBank,
     tx: channel::Sender<Job>,
     draining: AtomicBool,
-    shutdown_requested: AtomicBool,
+    shutdown_requested: Latch,
     /// Live connections by id: a clone of the stream, so a drain can shut
     /// its read half, and the reader's handle, so the drain can join it.
     conns: parking_lot::Mutex<HashMap<u64, (UnixStream, JoinHandle<()>)>>,
-    coalesce: StdMutex<HashMap<u64, Arc<InFlight>>>,
+    coalesce: StdMutex<HashMap<u64, Arc<Latch>>>,
     /// Keys whose leader's solve never materialized a closure (a strict
     /// solver that works link-level, not on the metric closure). Such keys
     /// can never turn into bank hits, so coalescing them again would just
@@ -229,7 +227,7 @@ impl Shared {
             bank: ClosureBank::with_capacity(bank_capacity),
             tx,
             draining: AtomicBool::new(false),
-            shutdown_requested: AtomicBool::new(false),
+            shutdown_requested: Latch::default(),
             conns: parking_lot::Mutex::new(HashMap::new()),
             coalesce: StdMutex::new(HashMap::new()),
             no_closure: parking_lot::Mutex::new(KeySet::with_capacity(bank_capacity)),
@@ -255,28 +253,21 @@ impl Shared {
     /// `retry_after_ms` hint answered with [`ServeError::Overloaded`]:
     /// roughly how long the current backlog takes to clear.
     fn retry_after_ms(&self) -> u64 {
-        let completed = self.stats.completed.load(Ordering::Relaxed);
-        let mean_ms = if completed == 0 {
-            10.0
-        } else {
-            self.stats.latency_sum_us.load(Ordering::Relaxed) as f64 / 1e3 / completed as f64
-        };
         retry_after_hint(
             self.stats.queue_depth.load(Ordering::SeqCst),
-            mean_ms,
+            self.stats.latency.mean_ms().unwrap_or(10.0),
             self.workers,
         )
     }
 
     fn stats_snapshot(&self) -> StatsReply {
         let bank = self.bank.stats();
-        let mut sorted = self.stats.latencies.lock().clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        let latency = self.stats.latency.summary();
         StatsReply {
             requests: self.stats.requests.load(Ordering::Relaxed),
             accepted: self.stats.accepted.load(Ordering::Relaxed),
             shed: self.stats.shed.load(Ordering::Relaxed),
-            completed: self.stats.completed.load(Ordering::Relaxed),
+            completed: latency.count,
             errors: self.stats.errors.load(Ordering::Relaxed),
             timeouts: self.stats.timeouts.load(Ordering::Relaxed),
             coalesced: self.stats.coalesced.load(Ordering::Relaxed),
@@ -289,12 +280,7 @@ impl Shared {
             bank_repairs: bank.repairs,
             keyed: self.stats.keyed.load(Ordering::Relaxed),
             unknown_keys: self.stats.unknown_keys.load(Ordering::Relaxed),
-            latency: LatencySummary {
-                count: sorted.len() as u64,
-                p50_ms: percentile(&sorted, 0.50),
-                p99_ms: percentile(&sorted, 0.99),
-                max_ms: sorted.last().copied().unwrap_or(0.0),
-            },
+            latency,
         }
     }
 }
@@ -383,18 +369,11 @@ impl Server {
         self.shared.stats_snapshot()
     }
 
-    /// True once a client has asked the daemon to exit via
-    /// [`Request::Shutdown`].
-    pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutdown_requested.load(Ordering::SeqCst)
-    }
-
-    /// Blocks until a client requests shutdown, then returns (the caller
-    /// still owns the handle and performs the actual [`Server::shutdown`]).
+    /// Blocks until a client requests shutdown via [`Request::Shutdown`],
+    /// then returns (the caller still owns the handle and performs the
+    /// actual [`Server::shutdown`]).
     pub fn run_until_shutdown(&self) {
-        while !self.shutdown_requested() {
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        self.shared.shutdown_requested.wait();
     }
 
     /// Drains and stops the daemon: refuses new work, completes and
@@ -529,7 +508,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: UnixStream) {
             Request::Shutdown => {
                 respond(&writer, req.id, Response::ShuttingDown);
                 shared.draining.store(true, Ordering::SeqCst);
-                shared.shutdown_requested.store(true, Ordering::SeqCst);
+                shared.shutdown_requested.release();
                 break;
             }
             Request::Solve(s) => enqueue(shared, req.id, Work::inline(s, None), &writer),
@@ -755,15 +734,7 @@ fn handle_item(shared: &Arc<Shared>, item: WorkItem) {
         Response::Error(_) => {
             shared.stats.errors.fetch_add(1, Ordering::Relaxed);
         }
-        _ => {
-            shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-            let latency_ms = item.submitted.elapsed().as_secs_f64() * 1e3;
-            shared
-                .stats
-                .latency_sum_us
-                .fetch_add((latency_ms * 1e3) as u64, Ordering::Relaxed);
-            shared.stats.latencies.lock().push(latency_ms);
-        }
+        _ => shared.stats.latency.record(item.submitted.elapsed()),
     }
     respond(&item.writer, item.id, body);
     shared.stats.queue_depth.fetch_sub(1, Ordering::SeqCst);
@@ -909,7 +880,7 @@ impl Drop for LeaderGuard<'_> {
             .unwrap_or_else(|e| e.into_inner())
             .remove(&self.key);
         if let Some(fl) = entry {
-            fl.finish();
+            fl.release();
         }
     }
 }
@@ -928,7 +899,7 @@ fn coalesce<'a>(shared: &'a Shared, key: u64) -> (bool, Option<LeaderGuard<'a>>)
         enum Role {
             Banked,
             Lead,
-            Wait(Arc<InFlight>),
+            Wait(Arc<Latch>),
         }
         let role = {
             let mut map = shared.coalesce.lock().unwrap_or_else(|e| e.into_inner());
@@ -937,7 +908,7 @@ fn coalesce<'a>(shared: &'a Shared, key: u64) -> (bool, Option<LeaderGuard<'a>>)
             } else if let Some(fl) = map.get(&key) {
                 Role::Wait(Arc::clone(fl))
             } else {
-                map.insert(key, Arc::new(InFlight::default()));
+                map.insert(key, Arc::new(Latch::default()));
                 Role::Lead
             }
         };
@@ -1047,9 +1018,37 @@ mod tests {
         server.shutdown();
     }
 
+    /// `run_until_shutdown` blocks on the shutdown latch and returns once a
+    /// client asks the daemon to exit.
     #[test]
-    fn in_flight_wakes_all_followers() {
-        let fl = Arc::new(InFlight::default());
+    fn a_client_shutdown_ends_run_until_shutdown() {
+        let socket =
+            std::env::temp_dir().join(format!("elpc-server-run-until-{}.sock", std::process::id()));
+        let server = Server::bind(
+            &socket,
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            server.run_until_shutdown();
+            let _ = tx.send(server.shutdown());
+        });
+        crate::Client::connect(&socket).unwrap().shutdown().unwrap();
+        let stats = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("run_until_shutdown returns after a client's shutdown");
+        assert_eq!(stats.requests, 0);
+        waiter.join().unwrap();
+        assert!(!socket.exists(), "the drain removed the socket file");
+    }
+
+    #[test]
+    fn a_latch_wakes_all_waiters() {
+        let fl = Arc::new(Latch::default());
         let joined: Vec<_> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
@@ -1061,7 +1060,7 @@ mod tests {
                 })
                 .collect();
             std::thread::sleep(Duration::from_millis(10));
-            fl.finish();
+            fl.release();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert_eq!(joined, vec![true; 4]);

@@ -20,7 +20,7 @@
 use elpc_mapping::CostModel;
 use elpc_serving::loadgen::{run_open_loop, LoadConfig};
 use elpc_serving::{
-    Client, ClientError, RetryPolicy, ServeError, Server, ServerConfig, SolveRequest,
+    Client, ClientError, RetryPolicy, ServeError, Server, ServerConfig, SolveRequest, StatsReply,
 };
 use elpc_workloads::{InstanceSpec, ProblemInstance};
 use std::path::PathBuf;
@@ -38,6 +38,20 @@ fn slow_instance() -> ProblemInstance {
 
 fn quick_instance() -> ProblemInstance {
     InstanceSpec::sized(4, 24, 60).generate(11).expect("gen")
+}
+
+/// The latency record agrees with the ledger: one latency per completed
+/// request, with ordered percentiles.
+fn assert_latency_matches_ledger(stats: &StatsReply) {
+    let l = &stats.latency;
+    assert_eq!(
+        l.count, stats.completed,
+        "one latency per completed request"
+    );
+    assert!(
+        l.p50_ms <= l.p99_ms && l.p99_ms <= l.max_ms,
+        "percentiles out of order: {l:?}"
+    );
 }
 
 fn solve_req(inst: &ProblemInstance) -> SolveRequest {
@@ -114,6 +128,7 @@ fn full_queue_sheds_with_typed_overloaded_and_exact_accounting() {
         stats.completed + stats.timeouts + stats.errors,
         "drain accounting must balance"
     );
+    assert_latency_matches_ledger(&stats);
     assert_eq!(
         stats.max_queue_depth, 1,
         "the queue bound is exact: depth never exceeded capacity"
@@ -150,6 +165,7 @@ fn full_queue_sheds_with_typed_overloaded_and_exact_accounting() {
         stats.accepted,
         stats.completed + stats.timeouts + stats.errors
     );
+    assert_latency_matches_ledger(&stats);
 }
 
 /// A retrying client backs off on the shed reply (honoring its
@@ -202,6 +218,7 @@ fn retry_policy_rides_out_overload() {
         stats.accepted,
         stats.completed + stats.timeouts + stats.errors
     );
+    assert_latency_matches_ledger(&stats);
 }
 
 /// Kill the daemon in the middle of a retrying closed-loop burst, rebind
@@ -272,6 +289,7 @@ fn killed_and_restarted_daemon_loses_no_replies() {
             "{tag}: drained ledger must balance"
         );
         assert_eq!(stats.queue_depth, 0, "{tag}: drain left work queued");
+        assert_latency_matches_ledger(stats);
     }
     // the reconnected clients sent inline to the empty restarted daemon,
     // then went back to keys it acknowledged, never a stale one
@@ -318,4 +336,5 @@ fn error_bursts_do_not_shrink_the_pool() {
         stats.accepted,
         stats.completed + stats.timeouts + stats.errors
     );
+    assert_latency_matches_ledger(&stats);
 }
