@@ -5,13 +5,13 @@
 //! scratch — it keeps every tree the perturbation cannot affect and
 //! repairs only the subtrees of the stale ones the delta touched. This
 //! bench measures that gap on 200- and 1000-node random topologies under
-//! 1/5/20-link perturbations (`rows`), and on fault epochs — the busiest
-//! relay crashing, then its restore — at 200 and 500 nodes (`faults`; 500
-//! nodes and 1 500 links is the served `churn` workload's shape). Every
-//! repaired closure is checked byte-identical to a cold build of the
-//! perturbed network, and the ratios are committed to `BENCH_churn.json`
-//! with the CPU count and build profile. `tests/bench_artifacts.rs` pins a
-//! ≥5× repair speedup for ≤5-link perturbations at 1000 nodes.
+//! 1/5/20-link perturbations (`perturb/` rows), and on fault epochs — the
+//! busiest relay crashing, then its restore — at 200 and 500 nodes
+//! (`fault/` rows; 500 nodes and 1 500 links is the served `churn`
+//! workload's shape). Every repaired closure is checked byte-identical to
+//! a cold build of the perturbed network, and the ratios are committed to
+//! `BENCH_churn.json`. `tests/bench_artifacts.rs` pins a ≥5× repair
+//! speedup for ≤5-link perturbations at 1000 nodes.
 //!
 //! Churn concentrates on the *slowest* links (the paper's time-varying
 //! load story: loaded links get more loaded) — those are also exactly the
@@ -27,67 +27,18 @@
 //! cargo bench -p elpc-bench --bench churn
 //! ```
 
+use elpc_experiments::artifact::{self, Row};
 use elpc_mapping::delta::repair_closure;
 use elpc_mapping::{CostModel, EdgeId, MetricClosure, NetworkDelta, NodeId};
 use elpc_netsim::{Link, Network};
 use elpc_workloads::{InstanceSpec, ProblemInstance};
-use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use std::path::Path;
 use std::time::Instant;
 
 const MODULES: usize = 5;
 const REPEATS: usize = 3;
 const BW_SCALE: f64 = 0.7;
-
-#[derive(Debug, Serialize, Deserialize)]
-struct ChurnRow {
-    nodes: usize,
-    links: usize,
-    /// Undirected links degraded between the banked and the live network.
-    perturbed_links: usize,
-    /// Cached trees in the closure (sources × distinct payloads).
-    total_trees: usize,
-    /// Trees the invalidation rule marked stale and repaired.
-    rebuilt_trees: usize,
-    /// Best-of-N full cold rebuild of the perturbed network's closure.
-    full_rebuild_ms: f64,
-    /// Best-of-N in-place repair (export + decide + rebuild stale).
-    repair_ms: f64,
-    /// `full_rebuild_ms / repair_ms` — the committed floor is ≥ 5x for
-    /// 1000-node rows with ≤ 5 perturbed links.
-    speedup: f64,
-}
-
-/// One fault epoch: a node crash, or the restore that undoes it.
-#[derive(Debug, Serialize, Deserialize)]
-struct FaultRow {
-    nodes: usize,
-    links: usize,
-    /// `crash` (the relay most trees route through fails, with all its
-    /// links) or `restore` (the crashed network heals back).
-    event: String,
-    /// Cached trees in the closure (sources × distinct payloads).
-    total_trees: usize,
-    /// Trees the invalidation rule marked stale and repaired.
-    rebuilt_trees: usize,
-    /// Best-of-N full cold rebuild of the post-event closure.
-    full_rebuild_ms: f64,
-    /// Best-of-N in-place repair (export + decide + repair stale).
-    repair_ms: f64,
-    /// `full_rebuild_ms / repair_ms`.
-    speedup: f64,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct ChurnArtifact {
-    group: String,
-    /// CPUs available to the run (`threads = 0` uses them all).
-    cpus: usize,
-    /// Build profile of the measured code.
-    profile: String,
-    rows: Vec<ChurnRow>,
-    faults: Vec<FaultRow>,
-}
 
 /// The `count` slowest undirected links (their even directed ids): where
 /// load-driven churn lands, and where shortest-path trees already aren't.
@@ -126,14 +77,16 @@ fn best_of<F: FnMut() -> f64>(mut run: F) -> f64 {
 
 /// Times a full cold rebuild of `live`'s closure and the repair of `base`
 /// into it (best of N each), checks the repair byte-identical to the cold
-/// build, and returns `(full_rebuild_ms, repair_ms, rebuilt_trees)`.
+/// build, and prints and returns the artifact row.
 fn time_repair(
+    id: String,
+    params: [(&str, Value); 3],
     base: &MetricClosure<'_>,
     live: &Network,
     delta: &NetworkDelta,
     sources: &[NodeId],
     payloads: &[f64],
-) -> (f64, f64, usize) {
+) -> Row {
     let cost = *base.cost();
     let total_trees = sources.len() * payloads.len();
     let full_rebuild_ms = best_of(|| {
@@ -175,7 +128,22 @@ fn time_repair(
             .all(|(p, q)| p.to_bits() == q.to_bits()));
         assert_eq!(x.tree.prev, y.tree.prev);
     }
-    (full_rebuild_ms, repair_ms, rebuilt_trees)
+    let speedup = full_rebuild_ms / repair_ms;
+    println!(
+        "{id}: repaired {rebuilt_trees}/{total_trees} trees, full {full_rebuild_ms:.1}ms \
+         vs repair {repair_ms:.1}ms — {speedup:.1}x"
+    );
+    Row::new(
+        id,
+        params,
+        [
+            ("total_trees", total_trees as f64),
+            ("rebuilt_trees", rebuilt_trees as f64),
+            ("full_rebuild_ms", full_rebuild_ms),
+            ("repair_ms", repair_ms),
+            ("speedup", speedup),
+        ],
+    )
 }
 
 fn sources_and_payloads(inst: &ProblemInstance) -> (Vec<NodeId>, Vec<f64>) {
@@ -188,7 +156,7 @@ fn sources_and_payloads(inst: &ProblemInstance) -> (Vec<NodeId>, Vec<f64>) {
 
 /// Crash of the relay the most cached trees route through, then its
 /// restore, at 200 nodes and at the served `churn` workload's shape.
-fn fault_rows(cost: CostModel) -> Vec<FaultRow> {
+fn fault_rows(cost: CostModel) -> Vec<Row> {
     let mut rows = Vec::new();
     for &(nodes, links, seed) in &[(200usize, 460usize, 0xC0FFEE_u64), (500, 1500, 0xFA57)] {
         let inst = InstanceSpec::sized(MODULES, nodes, links)
@@ -196,7 +164,7 @@ fn fault_rows(cost: CostModel) -> Vec<FaultRow> {
             .expect("spec generates");
         let (sources, payloads) = sources_and_payloads(&inst);
         let healthy = MetricClosure::new(&inst.network, cost);
-        let total_trees = healthy.par_warm(&sources, &payloads, 0);
+        healthy.par_warm(&sources, &payloads, 0);
 
         let mut through = vec![0usize; nodes];
         for e in healthy.export() {
@@ -217,30 +185,19 @@ fn fault_rows(cost: CostModel) -> Vec<FaultRow> {
             ("restore", &crashed, &inst.network),
         ] {
             let delta = NetworkDelta::between(base.network(), live).expect("same shape");
-            let (full_rebuild_ms, repair_ms, rebuilt_trees) =
-                time_repair(base, live, &delta, &sources, &payloads);
-            let row = FaultRow {
-                nodes,
-                links,
-                event: event.into(),
-                total_trees,
-                rebuilt_trees,
-                full_rebuild_ms,
-                repair_ms,
-                speedup: full_rebuild_ms / repair_ms,
-            };
-            println!(
-                "fault {}n/{}l {}: repaired {}/{} trees, full {:.1}ms vs repair {:.1}ms — {:.1}x",
-                nodes,
-                links,
-                row.event,
-                row.rebuilt_trees,
-                row.total_trees,
-                row.full_rebuild_ms,
-                row.repair_ms,
-                row.speedup
-            );
-            rows.push(row);
+            rows.push(time_repair(
+                format!("fault/{nodes}n/{event}"),
+                [
+                    ("nodes", nodes.into()),
+                    ("links", links.into()),
+                    ("event", event.into()),
+                ],
+                base,
+                live,
+                &delta,
+                &sources,
+                &payloads,
+            ));
         }
     }
     rows
@@ -258,52 +215,28 @@ fn main() {
 
         // the banked state: a fully-warmed closure of the pre-churn network
         let base = MetricClosure::new(&inst.network, cost);
-        let total_trees = base.par_warm(&sources, &payloads, 0);
+        base.par_warm(&sources, &payloads, 0);
 
         for &perturbed in &[1usize, 5, 20] {
             let changed = slowest_links(&inst.network, perturbed);
             let live = degrade(&inst.network, &changed);
             let delta = NetworkDelta::between(&inst.network, &live).expect("same shape");
             assert_eq!(delta.links.len(), 2 * perturbed, "both directions");
-            let (full_rebuild_ms, repair_ms, rebuilt_trees) =
-                time_repair(&base, &live, &delta, &sources, &payloads);
-
-            rows.push(ChurnRow {
-                nodes,
-                links,
-                perturbed_links: perturbed,
-                total_trees,
-                rebuilt_trees,
-                full_rebuild_ms,
-                repair_ms,
-                speedup: full_rebuild_ms / repair_ms,
-            });
-            let row = rows.last().expect("just pushed");
-            println!(
-                "churn {}n/{}l ~{} links: rebuilt {}/{} trees, full {:.1}ms vs repair {:.1}ms — {:.1}x",
-                nodes, links, perturbed, row.rebuilt_trees, row.total_trees,
-                row.full_rebuild_ms, row.repair_ms, row.speedup
-            );
+            rows.push(time_repair(
+                format!("perturb/{nodes}n/{perturbed}"),
+                [
+                    ("nodes", nodes.into()),
+                    ("links", links.into()),
+                    ("perturbed_links", perturbed.into()),
+                ],
+                &base,
+                &live,
+                &delta,
+                &sources,
+                &payloads,
+            ));
         }
     }
-
-    let artifact = ChurnArtifact {
-        group: "churn".into(),
-        cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        profile: if cfg!(debug_assertions) {
-            "debug"
-        } else {
-            "release"
-        }
-        .into(),
-        rows,
-        faults: fault_rows(cost),
-    };
-    let json = serde_json::to_string_pretty(&artifact).expect("serialize artifact");
-    let back: ChurnArtifact = serde_json::from_str(&json).expect("own artifact parses");
-    assert_eq!(back.group, "churn");
-
-    let dest = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_churn.json");
-    std::fs::write(&dest, json.as_bytes()).expect("write artifact");
-    println!("wrote {}", dest.display());
+    rows.extend(fault_rows(cost));
+    artifact::write(Path::new(env!("CARGO_MANIFEST_DIR")), "churn", rows);
 }

@@ -8,15 +8,15 @@
 //! shared closure bank in place through the failure-aware `NetworkDelta`
 //! and re-solves only the pipelines a failure actually touched; the cold
 //! baseline re-solves every pipeline on fresh contexts. Both sides are
-//! wall-clock timed back to back on the same snapshots.
+//! wall-clock timed back to back on the same snapshots (`recovery/` rows).
 //! `tests/bench_artifacts.rs` pins the committed `speedup` floor.
 //!
 //! **Overload.** An in-process daemon with a deliberately small bounded
 //! queue takes paced open-loop bursts at ~0.5×, 1×, and 2× its measured
 //! capacity. Past saturation the daemon sheds with typed `Overloaded`
 //! replies instead of queueing without bound, so goodput holds and the
-//! p99 of the replies it *does* serve stays bounded. The artifact pins
-//! `shed > 0` at 2× and the p99 ratio between overload and light load.
+//! p99 of the replies it *does* serve stays bounded (`overload/` rows).
+//! The artifact gate pins `shed > 0` and a sub-second p99 at 2×.
 //!
 //! Not a criterion bench: one half measures a control loop end to end,
 //! the other needs the open-loop generator, so this target has
@@ -26,6 +26,7 @@
 //! cargo bench -p elpc-bench --bench faults
 //! ```
 
+use elpc_experiments::artifact::{self, Row};
 use elpc_extensions::adaptive::{run_epochs, EpochConfig, RemapPolicy};
 use elpc_mapping::{solver, CostModel, NodeId, SolveContext};
 use elpc_netsim::dynamics::DynamicNetwork;
@@ -34,82 +35,11 @@ use elpc_pipeline::Pipeline;
 use elpc_serving::loadgen::{run_open_loop, LoadConfig, LoadReport};
 use elpc_serving::{RetryPolicy, Server, ServerConfig};
 use elpc_workloads::{ClosureBank, InstanceSpec, ProblemInstance};
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 const MODULES: usize = 5;
 const PIPELINES: usize = 3;
 const HORIZON_MS: f64 = 6_000.0;
-
-#[derive(Debug, Serialize, Deserialize)]
-struct RecoveryRow {
-    nodes: usize,
-    links: usize,
-    /// Pipelines sharing the network (and the closure bank).
-    pipelines: usize,
-    /// Events in the seeded fault schedule (crash/cut/degrade mix).
-    fault_events: usize,
-    /// Directed edges that failed across the run.
-    failed_links: usize,
-    /// Nodes that crashed across the run.
-    failed_nodes: usize,
-    /// Pipelines whose host died (forced to move).
-    forced_remaps: usize,
-    /// Targeted re-solves across the run (forced + drift-affected).
-    remapped: usize,
-    /// Cached trees the repair rule kept bit-for-bit.
-    trees_kept: usize,
-    /// Stale trees, repaired in place.
-    trees_rebuilt: usize,
-    /// Total measured time-to-recovery of repair + targeted remap, ms.
-    recovery_ms: f64,
-    /// Total measured cost of cold re-solving every pipeline, ms.
-    cold_resolve_ms: f64,
-    /// `cold_resolve_ms / recovery_ms` — the committed floor lives in
-    /// `tests/bench_artifacts.rs`.
-    speedup: f64,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct OverloadRow {
-    /// Offered load as a fraction of measured capacity.
-    offered_fraction: f64,
-    /// Offered rate, requests/second.
-    offered_rps: f64,
-    sent: usize,
-    ok: usize,
-    /// Requests answered with typed `Overloaded` (bounded queue full).
-    shed: usize,
-    /// Successful replies per second of wall clock.
-    goodput_rps: f64,
-    p50_ms: f64,
-    /// p99 of the replies actually served — bounded because the queue is.
-    p99_ms: f64,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct OverloadSection {
-    solver: String,
-    nodes: usize,
-    links: usize,
-    workers: usize,
-    queue_capacity: usize,
-    /// Closed-loop, shed-free throughput (one connection per worker) the
-    /// offered rates are scaled from.
-    capacity_rps: f64,
-    rows: Vec<OverloadRow>,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct FaultsArtifact {
-    group: String,
-    /// CPUs available to the run.
-    cpus: usize,
-    /// Build profile of the measured code.
-    profile: String,
-    recovery: Vec<RecoveryRow>,
-    overload: OverloadSection,
-}
 
 /// Several pipelines over one network: the instance's own endpoints plus
 /// deterministic extra pairs spread across the node range, so one crash
@@ -129,7 +59,7 @@ fn pipelines_for(inst: &ProblemInstance) -> Vec<(Pipeline, NodeId, NodeId)> {
     out
 }
 
-fn recovery_rows() -> Vec<RecoveryRow> {
+fn recovery_rows() -> Vec<Row> {
     let cost = CostModel::default();
     let remap = solver("elpc_delay_routed").expect("registered");
     let mut rows = Vec::new();
@@ -201,43 +131,49 @@ fn recovery_rows() -> Vec<RecoveryRow> {
             )
             .expect("epoch engine runs");
 
-            let row = RecoveryRow {
-                nodes,
-                links,
-                pipelines: pipes.len(),
-                fault_events: faults.events().len(),
-                failed_links: report.epochs.iter().map(|e| e.failed_links).sum(),
-                failed_nodes: report.epochs.iter().map(|e| e.failed_nodes).sum(),
-                forced_remaps: report.forced_remaps,
-                // every re-solve after the mandatory epoch-0 one per pipeline
-                remapped: report.resolves - pipes.len(),
-                trees_kept: report.trees_kept_total,
-                trees_rebuilt: report.trees_rebuilt_total,
-                recovery_ms: report.recovery_ms_total(),
-                cold_resolve_ms: report.cold_resolve_ms_total(),
-                speedup: report.recovery_speedup(),
-            };
+            let fault_events = faults.events().len();
+            let failed_links: usize = report.epochs.iter().map(|e| e.failed_links).sum();
+            let failed_nodes: usize = report.epochs.iter().map(|e| e.failed_nodes).sum();
+            // every re-solve after the mandatory epoch-0 one per pipeline
+            let remapped = report.resolves - pipes.len();
+            let (recovery_ms, cold_resolve_ms) =
+                (report.recovery_ms_total(), report.cold_resolve_ms_total());
+            let speedup = report.recovery_speedup();
             println!(
-                "recovery {}n/{}l, {} events: {} cut edges, {} crashes, {} remapped \
-                 ({} forced) — targeted {:.1}ms vs cold {:.1}ms = {:.1}x",
-                nodes,
-                links,
-                row.fault_events,
-                row.failed_links,
-                row.failed_nodes,
-                row.remapped,
-                row.forced_remaps,
-                row.recovery_ms,
-                row.cold_resolve_ms,
-                row.speedup
+                "recovery {nodes}n/{links}l, {fault_events} events: {failed_links} cut edges, \
+                 {failed_nodes} crashes, {remapped} remapped ({} forced) — targeted \
+                 {recovery_ms:.1}ms vs cold {cold_resolve_ms:.1}ms = {speedup:.1}x",
+                report.forced_remaps,
             );
-            rows.push(row);
+            rows.push(Row::new(
+                format!("recovery/{nodes}n/{fault_events}"),
+                [
+                    ("nodes", nodes.into()),
+                    ("links", links.into()),
+                    ("pipelines", pipes.len().into()),
+                    ("fault_events", fault_events.into()),
+                ],
+                [
+                    // directed edges and nodes that failed across the run
+                    ("failed_links", failed_links as f64),
+                    ("failed_nodes", failed_nodes as f64),
+                    // pipelines whose host died, and all targeted re-solves
+                    ("forced_remaps", report.forced_remaps as f64),
+                    ("remapped", remapped as f64),
+                    // trees the repair rule kept, and stale ones repaired
+                    ("trees_kept", report.trees_kept_total as f64),
+                    ("trees_rebuilt", report.trees_rebuilt_total as f64),
+                    ("recovery_ms", recovery_ms),
+                    ("cold_resolve_ms", cold_resolve_ms),
+                    ("speedup", speedup),
+                ],
+            ));
         }
     }
     rows
 }
 
-fn overload_section() -> OverloadSection {
+fn overload_rows() -> Vec<Row> {
     const NODES: usize = 200;
     const LINKS: usize = 460;
     const WORKERS: usize = 2;
@@ -306,36 +242,48 @@ fn overload_section() -> OverloadSection {
         )
         .expect("paced run")
     };
-    let rows: Vec<OverloadRow> = [0.5, 1.0, 2.0]
+    let mut last_shed = 0;
+    let rows: Vec<Row> = [0.5, 1.0, 2.0]
         .iter()
         .map(|&fraction| {
             let report = run_at(fraction);
-            let row = OverloadRow {
-                offered_fraction: fraction,
-                offered_rps: capacity_rps * fraction,
-                sent: report.sent,
-                ok: report.ok,
-                shed: report.shed,
-                goodput_rps: report.ok as f64 / report.elapsed_s.max(1e-9),
-                p50_ms: report.p50_ms,
-                p99_ms: report.p99_ms,
-            };
+            let offered_rps = capacity_rps * fraction;
+            let goodput_rps = report.ok as f64 / report.elapsed_s.max(1e-9);
             println!(
-                "overload {:.1}x ({:.0} rps offered): {} ok, {} shed, goodput {:.0}/s, \
-                 p50 {:.2}ms, p99 {:.2}ms",
-                fraction,
-                row.offered_rps,
-                row.ok,
-                row.shed,
-                row.goodput_rps,
-                row.p50_ms,
-                row.p99_ms
+                "overload {fraction:.1}x ({offered_rps:.0} rps offered): {} ok, {} shed, \
+                 goodput {goodput_rps:.0}/s, p50 {:.2}ms, p99 {:.2}ms",
+                report.ok, report.shed, report.p50_ms, report.p99_ms
             );
-            row
+            last_shed = report.shed;
+            Row::new(
+                format!("overload/{fraction}x"),
+                [
+                    ("solver", base.solver.as_str().into()),
+                    ("nodes", NODES.into()),
+                    ("links", LINKS.into()),
+                    ("workers", WORKERS.into()),
+                    ("queue_capacity", QUEUE.into()),
+                    ("offered_fraction", fraction.into()),
+                ],
+                [
+                    // closed-loop, shed-free throughput (one connection per
+                    // worker) the offered rates are scaled from
+                    ("capacity_rps", capacity_rps),
+                    ("offered_rps", offered_rps),
+                    ("sent", report.sent as f64),
+                    ("ok", report.ok as f64),
+                    // answered with a typed `Overloaded` (bounded queue full)
+                    ("shed", report.shed as f64),
+                    ("goodput_rps", goodput_rps),
+                    ("p50_ms", report.p50_ms),
+                    // of the replies served: bounded because the queue is
+                    ("p99_ms", report.p99_ms),
+                ],
+            )
         })
         .collect();
     assert!(
-        rows.last().expect("three rows").shed > 0,
+        last_shed > 0,
         "2x offered load must shed on a bounded queue"
     );
 
@@ -351,36 +299,11 @@ fn overload_section() -> OverloadSection {
         "the queue bound must hold under 2x overload"
     );
 
-    OverloadSection {
-        solver: base.solver,
-        nodes: NODES,
-        links: LINKS,
-        workers: WORKERS,
-        queue_capacity: QUEUE,
-        capacity_rps,
-        rows,
-    }
+    rows
 }
 
 fn main() {
-    let artifact = FaultsArtifact {
-        group: "faults".into(),
-        cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        profile: if cfg!(debug_assertions) {
-            "debug"
-        } else {
-            "release"
-        }
-        .into(),
-        recovery: recovery_rows(),
-        overload: overload_section(),
-    };
-
-    let json = serde_json::to_string_pretty(&artifact).expect("serialize artifact");
-    let back: FaultsArtifact = serde_json::from_str(&json).expect("own artifact parses");
-    assert_eq!(back.group, "faults");
-
-    let dest = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_faults.json");
-    std::fs::write(&dest, json.as_bytes()).expect("write artifact");
-    println!("wrote {}", dest.display());
+    let mut rows = recovery_rows();
+    rows.extend(overload_rows());
+    artifact::write(Path::new(env!("CARGO_MANIFEST_DIR")), "faults", rows);
 }

@@ -1,5 +1,5 @@
 //! Criterion benches for the Fig. 2 comparison: per-algorithm solve time on
-//! representative suite cases (E1/E2 in DESIGN.md §5).
+//! representative suite cases (E1/E2 in `elpc-bench`'s experiment index).
 //!
 //! The published observation (§4.3) is that all three algorithms run in
 //! milliseconds-to-seconds; these benches regenerate that comparison with

@@ -12,60 +12,27 @@
 //! (m=100, n=220, l=2500) at the 10x tier closes to a gap of at most
 //! 1.05.
 //!
-//! Not a criterion bench: each row is three deterministic solver runs
-//! (LNS is a pure function of its seed), so this target has
-//! `harness = false` and writes its artifact directly.
+//! Not a criterion bench: each case is three deterministic solver runs
+//! (LNS is a pure function of its seed), one row per budget tier, so this
+//! target has `harness = false` and writes its artifact directly.
 //!
 //! ```text
 //! cargo bench -p elpc-bench --bench lns
 //! ```
 
+use elpc_experiments::artifact::{self, Row};
 use elpc_mapping::{lns, solver, CostModel, LnsConfig, Objective, SolveContext};
-use elpc_workloads::cases;
-use serde::{Deserialize, Serialize};
+use elpc_workloads::cases::{self, CaseSpec};
 use std::path::Path;
 use std::time::Instant;
 
 const BASELINE_BUDGET: usize = 5000;
 const TIERS: [usize; 3] = [1, 10, 100];
 
-#[derive(Debug, Serialize, Deserialize)]
-struct LnsTier {
-    /// Evaluation budget (`multiplier * 5000`).
-    budget: usize,
-    /// Multiplier over the default budget (1, 10, 100).
-    multiplier: usize,
-    /// LNS delay objective at this budget.
-    objective_ms: f64,
-    /// `objective_ms / routed_optimum_ms` (1.0 = optimal).
-    gap: f64,
-    /// Wall-clock of the solve.
-    elapsed_ms: f64,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct LnsRow {
-    /// 1-based Fig. 2 case number.
-    case: usize,
-    modules: usize,
-    nodes: usize,
-    links: usize,
-    /// The exact optimum of the routed free-assignment space.
-    routed_optimum_ms: f64,
-    /// Gap-vs-budget curve, ascending budgets.
-    tiers: Vec<LnsTier>,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct LnsArtifact {
-    group: String,
-    baseline_budget: usize,
-    /// Only the cases whose 1x gap exceeds 1.0 — on the rest the default
-    /// budget already reaches the routed optimum, so there is no curve.
-    rows: Vec<LnsRow>,
-}
-
-fn run_tier(ctx: &SolveContext<'_>, multiplier: usize, optimum: f64) -> LnsTier {
+/// One case × budget-tier row: the LNS delay objective at `multiplier`
+/// times the default budget, and its gap over the routed optimum (1.0 =
+/// optimal).
+fn run_tier(spec: &CaseSpec, ctx: &SolveContext<'_>, multiplier: usize, optimum: f64) -> Row {
     let budget = multiplier * BASELINE_BUDGET;
     let config = LnsConfig {
         budget,
@@ -73,13 +40,23 @@ fn run_tier(ctx: &SolveContext<'_>, multiplier: usize, optimum: f64) -> LnsTier 
     };
     let t0 = Instant::now();
     let sol = lns::solve_lns(ctx, Objective::MinDelay, &config).expect("suite cases are feasible");
-    LnsTier {
-        budget,
-        multiplier,
-        objective_ms: sol.objective_ms,
-        gap: sol.objective_ms / optimum,
-        elapsed_ms: t0.elapsed().as_secs_f64() * 1e3,
-    }
+    Row::new(
+        format!("case{}/{multiplier}x", spec.number),
+        [
+            ("case", spec.number.into()),
+            ("modules", spec.modules.into()),
+            ("nodes", spec.nodes.into()),
+            ("links", spec.links.into()),
+            ("budget", budget.into()),
+            ("multiplier", multiplier.into()),
+        ],
+        [
+            ("routed_optimum_ms", optimum),
+            ("objective_ms", sol.objective_ms),
+            ("gap", sol.objective_ms / optimum),
+            ("elapsed_ms", t0.elapsed().as_secs_f64() * 1e3),
+        ],
+    )
 }
 
 fn main() {
@@ -96,21 +73,28 @@ fn main() {
             .expect("suite cases are feasible")
             .objective_ms;
 
-        let base = run_tier(&ctx, TIERS[0], optimum);
-        if base.gap <= 1.0 + 1e-9 {
+        let base = run_tier(&spec, &ctx, TIERS[0], optimum);
+        if base.metric("gap") <= 1.0 + 1e-9 {
             println!(
                 "lns case {:02} (m={} n={} l={}): 1x gap {:.4} — already optimal, skipped",
-                spec.number, spec.modules, spec.nodes, spec.links, base.gap
+                spec.number,
+                spec.modules,
+                spec.nodes,
+                spec.links,
+                base.metric("gap")
             );
             continue;
         }
         let mut tiers = vec![base];
         for &multiplier in &TIERS[1..] {
-            tiers.push(run_tier(&ctx, multiplier, optimum));
+            tiers.push(run_tier(&spec, &ctx, multiplier, optimum));
         }
         let curve: Vec<String> = tiers
             .iter()
-            .map(|t| format!("{}x {:.4} ({:.0}ms)", t.multiplier, t.gap, t.elapsed_ms))
+            .map(|t| {
+                let (gap, ms) = (t.metric("gap"), t.metric("elapsed_ms"));
+                format!("{} {gap:.4} ({ms:.0}ms)", t.id)
+            })
             .collect();
         println!(
             "lns case {:02} (m={} n={} l={}): opt {:.1}ms, gap {}",
@@ -121,26 +105,9 @@ fn main() {
             optimum,
             curve.join(" -> ")
         );
-        rows.push(LnsRow {
-            case: spec.number,
-            modules: spec.modules,
-            nodes: spec.nodes,
-            links: spec.links,
-            routed_optimum_ms: optimum,
-            tiers,
-        });
+        rows.extend(tiers);
     }
-
-    let artifact = LnsArtifact {
-        group: "lns".into(),
-        baseline_budget: BASELINE_BUDGET,
-        rows,
-    };
-    let json = serde_json::to_string_pretty(&artifact).expect("serialize artifact");
-    let back: LnsArtifact = serde_json::from_str(&json).expect("own artifact parses");
-    assert_eq!(back.group, "lns");
-
-    let dest = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_lns.json");
-    std::fs::write(&dest, json.as_bytes()).expect("write artifact");
-    println!("wrote {}", dest.display());
+    // only the cases whose 1x gap exceeds 1.0: on the rest the default
+    // budget already reaches the routed optimum, so there is no curve
+    artifact::write(Path::new(env!("CARGO_MANIFEST_DIR")), "lns", rows);
 }

@@ -7,10 +7,11 @@
 //! * **cold**: every request carries a *distinct* topology, so each solve
 //!   pays a full all-pairs closure build.
 //!
-//! The ratio between the two is the serving layer's reason to exist:
-//! `BENCH_serving.json` commits it (`banked_over_cold`), and
-//! `tests/bench_artifacts.rs` pins a ≥5× floor so a regression in bank
-//! sharing or request coalescing fails the PR that caused it.
+//! The throughput ratio between the two is the serving layer's reason to
+//! exist: `BENCH_serving.json` commits one row per regime, and
+//! `tests/bench_artifacts.rs` pins a ≥5× floor on the ratio so a
+//! regression in bank sharing or request coalescing fails the PR that
+//! caused it.
 //!
 //! Not a criterion bench: latency percentiles of a queueing system need
 //! the open-loop generator, so this target has `harness = false` and
@@ -20,10 +21,10 @@
 //! cargo bench -p elpc-bench --bench serving
 //! ```
 
+use elpc_experiments::artifact::{self, Row};
 use elpc_serving::loadgen::{run_open_loop, LoadConfig, LoadReport};
 use elpc_serving::{Server, ServerConfig};
 use elpc_workloads::{InstanceSpec, ProblemInstance};
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// Topology size: large enough that the all-pairs closure build dominates
@@ -38,40 +39,26 @@ const COLD_REQUESTS: usize = 16;
 const CONNECTIONS: usize = 4;
 const WORKERS: usize = 2;
 
-#[derive(Debug, Serialize, Deserialize)]
-struct Regime {
-    requests: usize,
-    solves_per_sec: f64,
-    mean_ms: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-    max_ms: f64,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct ServingArtifact {
-    group: String,
-    solver: String,
-    nodes: usize,
-    links: usize,
-    workers: usize,
-    connections: usize,
-    banked: Regime,
-    cold: Regime,
-    /// Banked throughput over cold throughput on the same daemon — the
-    /// committed floor is ≥ 5x (see `tests/bench_artifacts.rs`).
-    banked_over_cold: f64,
-}
-
-fn regime(report: &LoadReport) -> Regime {
-    Regime {
-        requests: report.ok,
-        solves_per_sec: report.throughput_rps,
-        mean_ms: report.mean_ms,
-        p50_ms: report.p50_ms,
-        p99_ms: report.p99_ms,
-        max_ms: report.max_ms,
-    }
+/// One regime's row: the daemon's shape and the burst's latency/throughput.
+fn regime(id: &str, solver: &str, report: &LoadReport) -> Row {
+    Row::new(
+        id,
+        [
+            ("solver", solver.into()),
+            ("nodes", NODES.into()),
+            ("links", LINKS.into()),
+            ("workers", WORKERS.into()),
+            ("connections", CONNECTIONS.into()),
+        ],
+        [
+            ("requests", report.ok as f64),
+            ("solves_per_sec", report.throughput_rps),
+            ("mean_ms", report.mean_ms),
+            ("p50_ms", report.p50_ms),
+            ("p99_ms", report.p99_ms),
+            ("max_ms", report.max_ms),
+        ],
+    )
 }
 
 fn instances(distinct: usize, base_seed: u64) -> Vec<ProblemInstance> {
@@ -151,33 +138,18 @@ fn main() {
     // one build for the fixed topology + one per distinct topology
     assert_eq!(stats.bank_misses, 1 + COLD_REQUESTS as u64);
 
-    let artifact = ServingArtifact {
-        group: "serving".into(),
-        solver: cfg.solver.clone(),
-        nodes: NODES,
-        links: LINKS,
-        workers: WORKERS,
-        connections: CONNECTIONS,
-        banked_over_cold: banked_report.throughput_rps / cold_report.throughput_rps,
-        banked: regime(&banked_report),
-        cold: regime(&cold_report),
-    };
-
-    let json = serde_json::to_string_pretty(&artifact).expect("serialize artifact");
-    // self-check the round trip before committing bytes to disk
-    let back: ServingArtifact = serde_json::from_str(&json).expect("own artifact parses");
-    assert_eq!(back.group, "serving");
-
-    let dest = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_serving.json");
-    std::fs::write(&dest, json.as_bytes()).expect("write artifact");
     println!(
-        "serving: banked {:.1}/s (p50 {:.2}ms, p99 {:.2}ms) vs cold {:.1}/s (p50 {:.2}ms) — {:.1}x; wrote {}",
-        artifact.banked.solves_per_sec,
-        artifact.banked.p50_ms,
-        artifact.banked.p99_ms,
-        artifact.cold.solves_per_sec,
-        artifact.cold.p50_ms,
-        artifact.banked_over_cold,
-        dest.display()
+        "serving: banked {:.1}/s (p50 {:.2}ms, p99 {:.2}ms) vs cold {:.1}/s (p50 {:.2}ms) — {:.1}x",
+        banked_report.throughput_rps,
+        banked_report.p50_ms,
+        banked_report.p99_ms,
+        cold_report.throughput_rps,
+        cold_report.p50_ms,
+        banked_report.throughput_rps / cold_report.throughput_rps,
     );
+    let rows = vec![
+        regime("banked", &cfg.solver, &banked_report),
+        regime("cold", &cfg.solver, &cold_report),
+    ];
+    artifact::write(Path::new(env!("CARGO_MANIFEST_DIR")), "serving", rows);
 }

@@ -1,10 +1,9 @@
 //! Ablation A1: the minimum-link-delay (MLD) term.
 //!
 //! §2.2 defines `T_transport = m/b + d`, but the paper's Eq. 1/3/4 write
-//! only `m/b` (DESIGN.md erratum 1). This ablation quantifies what the
-//! term is worth: both optimal objectives over the 20-case suite with
-//! `include_mld` on vs off, plus how often the *chosen mapping itself*
-//! changes. Solvers come from the registry; each cost-model variant gets
+//! only `m/b`. This ablation quantifies what the term is worth: both
+//! optimal objectives over the 20-case suite with `include_mld` on vs off,
+//! plus how often the *chosen mapping itself* changes. Solvers come from the registry; each cost-model variant gets
 //! its own `SolveContext` (the closure is keyed by the cost model).
 //!
 //! ```text

@@ -95,7 +95,7 @@ fn main() {
         "(ELPC columns use routed-overlay semantics so all algorithms are \
          charged transfers identically; the quality-gap columns divide a \
          search objective (LNS for delay, the best rate search for rate) by \
-         the exact optimum of the same routed search space. See DESIGN.md and ARCHITECTURE.md.)"
+         the exact optimum of the same routed search space. See ARCHITECTURE.md.)"
     );
 
     std::fs::write(results_dir().join("fig2_table.md"), md).expect("write fig2_table.md");

@@ -33,7 +33,8 @@
 //! (closure sizes 100/300, shortened sweep) and writes the JSON into the
 //! results directory only, leaving the committed artifact untouched.
 
-use elpc_experiments::{results_dir, save_csv, save_json};
+use elpc_experiments::artifact::{self, Row};
+use elpc_experiments::{results_dir, save_csv};
 use elpc_mapping::{solver, CostModel, Instance, MetricClosure, NodeId, SolveContext};
 use elpc_netgraph::algo;
 use elpc_netsim::{Link, Network, Node};
@@ -41,7 +42,6 @@ use elpc_pipeline::Pipeline;
 use elpc_workloads::{ClosureBank, InstanceSpec};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -67,33 +67,6 @@ fn time_ms(f: impl FnOnce()) -> f64 {
     let t = Instant::now();
     f();
     t.elapsed().as_secs_f64() * 1e3
-}
-
-/// One row of `BENCH_closure_scaling.json`.
-#[derive(Debug, Serialize, Deserialize)]
-struct ClosureScalingRow {
-    nodes: usize,
-    links: usize,
-    /// Sources warmed (= nodes: the all-pairs closure).
-    sources: usize,
-    /// All-sources trees via the adjacency-list `algo::dijkstra` oracle.
-    legacy_cold_ms: f64,
-    /// All-sources closure via the batched CSR path (1 thread).
-    csr_cold_ms: f64,
-    /// `legacy_cold_ms / csr_cold_ms`.
-    speedup: f64,
-    /// `elpc_delay_routed` on a ClosureBank checkout of the warm closure.
-    banked_solve_ms: f64,
-    /// `VmHWM` after the build — the peak-RSS proxy for the row.
-    peak_rss_mb: f64,
-}
-
-/// The artifact envelope, shaped like the criterion shim's `BENCH_*.json`
-/// files (a `group` name plus per-entry records).
-#[derive(Debug, Serialize, Deserialize)]
-struct ClosureScalingArtifact {
-    group: String,
-    rows: Vec<ClosureScalingRow>,
 }
 
 /// Peak resident set size (VmHWM) in MiB, from `/proc/self/status`; 0.0
@@ -144,7 +117,7 @@ fn rng_range(rng: &mut ChaCha8Rng, lo: f64, hi: f64) -> f64 {
 /// Times all-sources closure construction (adjacency-list oracle vs
 /// batched CSR) on one BA network, verifies the two agree bit-for-bit on
 /// sampled sources, and runs a banked routed solve over the warm closure.
-fn closure_scaling_row(n: usize) -> ClosureScalingRow {
+fn closure_scaling_row(n: usize) -> Row {
     let cost = CostModel::default();
     let net = ba_network(n, 3, 0xC5A0 + n as u64);
     let sources: Vec<NodeId> = net.node_ids().collect();
@@ -236,16 +209,26 @@ fn closure_scaling_row(n: usize) -> ClosureScalingRow {
         routed.solve(&bctx).expect("routed solve succeeds");
     });
 
-    ClosureScalingRow {
-        nodes: n,
-        links: net.link_count(),
-        sources: sources.len(),
-        legacy_cold_ms,
-        csr_cold_ms,
-        speedup: legacy_cold_ms / csr_cold_ms,
-        banked_solve_ms,
-        peak_rss_mb: rss,
-    }
+    Row::new(
+        format!("{n}n"),
+        [
+            ("nodes", n.into()),
+            ("links", net.link_count().into()),
+            // the all-pairs closure: one tree per node
+            ("sources", sources.len().into()),
+        ],
+        [
+            // all-sources trees via the adjacency-list `algo::dijkstra` oracle
+            ("legacy_cold_ms", legacy_cold_ms),
+            // all-sources closure via the batched CSR path (1 thread)
+            ("csr_cold_ms", csr_cold_ms),
+            ("speedup", legacy_cold_ms / csr_cold_ms),
+            // `elpc_delay_routed` on a ClosureBank checkout of the warm closure
+            ("banked_solve_ms", banked_solve_ms),
+            // `VmHWM` after the build
+            ("peak_rss_mb", rss),
+        ],
+    )
 }
 
 fn run_closure_scaling(smoke: bool) {
@@ -272,35 +255,28 @@ fn run_closure_scaling(smoke: bool) {
     for &n in sizes {
         let row = closure_scaling_row(n);
         println!(
-            "{:>7} {:>7} | {:>14.1} {:>12.1} {:>7.2}x {:>15.2} {:>12.1}",
-            row.nodes,
-            row.links,
-            row.legacy_cold_ms,
-            row.csr_cold_ms,
-            row.speedup,
-            row.banked_solve_ms,
-            row.peak_rss_mb
+            "{n:>7} {:>7} | {:>14.1} {:>12.1} {:>7.2}x {:>15.2} {:>12.1}",
+            row.param("links").as_f64().expect("a count"),
+            row.metric("legacy_cold_ms"),
+            row.metric("csr_cold_ms"),
+            row.metric("speedup"),
+            row.metric("banked_solve_ms"),
+            row.metric("peak_rss_mb")
         );
         rows.push(row);
     }
-    let artifact = ClosureScalingArtifact {
-        group: "closure_scaling".into(),
-        rows,
-    };
     // full runs refresh the committed artifact next to the criterion
     // benches; smoke runs (CI) never touch it
     let bench_dir = std::path::Path::new("crates/bench");
-    let path = if !smoke && bench_dir.is_dir() {
-        bench_dir.join("BENCH_closure_scaling.json")
+    let dir = if !smoke && bench_dir.is_dir() {
+        bench_dir.to_path_buf()
     } else {
-        results_dir().join("BENCH_closure_scaling.json")
+        results_dir()
     };
-    save_json(&path, &artifact);
-    // self-validate the artifact round-trips with the expected keys — the
-    // same check CI's smoke run relies on
-    let text = std::fs::read_to_string(&path).expect("artifact readable");
-    let parsed: ClosureScalingArtifact =
-        serde_json::from_str(&text).expect("closure-scaling artifact parses");
+    let path = artifact::write(&dir, "closure_scaling", rows);
+    // the read-back CI's smoke run relies on: the artifact parses with the
+    // reader the committed-artifact gate uses
+    let parsed = artifact::read(&path).expect("closure-scaling artifact parses");
     assert_eq!(parsed.group, "closure_scaling");
     assert!(!parsed.rows.is_empty());
 }

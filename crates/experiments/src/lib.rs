@@ -1,6 +1,6 @@
 //! # elpc-experiments — the paper's tables and figures, regenerated
 //!
-//! One binary per artifact (see DESIGN.md §5 for the experiment index):
+//! One binary per artifact (`elpc-bench`'s crate doc indexes the benches):
 //!
 //! | binary | regenerates |
 //! |--------|-------------|
@@ -13,13 +13,16 @@
 //! | `validate_sim` | V1: analytic objectives vs discrete-event execution |
 //!
 //! All binaries print human-readable tables to stdout and drop
-//! machine-readable artifacts under `results/`.
+//! machine-readable artifacts under `results/`. [`artifact`] is the one
+//! writer and reader of the committed `BENCH_*.json` benchmark artifacts.
 
 use elpc_mapping::CostModel;
 use elpc_workloads::compare::{run_case_opts, CaseResult};
 use elpc_workloads::{cases, sweep, ClosureBank};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+
+pub mod artifact;
 
 /// Directory where experiment artifacts are written.
 pub fn results_dir() -> PathBuf {

@@ -7,11 +7,11 @@ use serde::{Deserialize, Serialize};
 
 /// Cost-model configuration.
 ///
-/// `include_mld` resolves the paper's internal inconsistency (DESIGN.md
-/// erratum 1): §2.2 defines `T_transport = m/b + d` but Eq. 1/3/4 write only
-/// `m/b`. The default **includes** the minimum link delay, matching the
-/// prose definition and the magnitude of the published results; ablation A1
-/// measures the difference.
+/// `include_mld` resolves the paper's internal inconsistency about the
+/// minimum-link-delay (MLD) term: §2.2 defines `T_transport = m/b + d` but
+/// Eq. 1/3/4 write only `m/b`. The default **includes** the minimum link
+/// delay, matching the prose definition and the magnitude of the published
+/// results; ablation A1 measures the difference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CostModel {
     /// Include the minimum-link-delay term `d` in transport times.

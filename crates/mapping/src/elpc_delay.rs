@@ -12,8 +12,7 @@
 //!
 //! The base column pins module 0 (the data source) to `vs` with zero cost;
 //! this deliberately *includes* `T_1(vs)` via the stay case, which the
-//! paper's Eq. 4 omits but its own Fig. 3 solution requires (DESIGN.md
-//! erratum 2).
+//! paper's Eq. 4 omits but its own Fig. 3 solution requires.
 //!
 //! One column loop, `solve_columns`, serves both variants; they differ only
 //! in the moves they offer it: [`solve`] the network's links, and

@@ -17,7 +17,7 @@
 //!
 //! Eq. 5's transfer term is `m_{j-1}/b` here (the data module `j` actually
 //! receives); the paper prints `m_j`, inconsistent with its own base case
-//! Eq. 6 — DESIGN.md erratum 3.
+//! Eq. 6.
 //!
 //! One column loop, `solve_columns`, serves both variants; they differ only
 //! in the moves they offer it: [`solve_with`] the network's links, and

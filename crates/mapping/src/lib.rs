@@ -66,7 +66,7 @@
 //! ## Faithfulness knobs
 //!
 //! [`CostModel::include_mld`] toggles the minimum-link-delay term the
-//! paper's prose defines but its equations drop (DESIGN.md erratum 1;
+//! paper's prose defines (§2.2) but its equations drop (Eq. 1/3/4;
 //! ablation A1). [`elpc_rate::RateConfig::k_labels`] widens the rate DP
 //! from the paper's single label per cell to a K-best label set
 //! (ablation A2).

@@ -2,7 +2,8 @@
 //!
 //! The paper proves (§3.1.2) that finding the widest *exact n-hop* path is
 //! NP-complete, and its ELPC-rate algorithm is therefore a heuristic. To
-//! quantify that heuristic's optimality gap (experiment E8 in DESIGN.md) we
+//! quantify that heuristic's optimality gap (experiment E8, the
+//! `ablation_gap` binary and the `heuristic_gap` bench) we
 //! need ground truth on small instances, which this module provides by
 //! depth-first enumeration of all simple paths with an exact node count,
 //! pruned by reverse-BFS hop distances.

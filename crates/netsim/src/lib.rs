@@ -14,8 +14,7 @@
 //!   per-node compute rate used in `T_computing = m·c / p`.
 //! * [`measure`] simulates the active-probing estimator of Wu & Rao \[14\]:
 //!   linear regression over (message size, transfer time) samples recovers
-//!   `(b, d)` — the substitution for the paper's real WAN probes (see
-//!   DESIGN.md §4).
+//!   `(b, d)` — the substitution for the paper's real WAN probes.
 //! * [`dynamics`] models the time-varying resource availability that §5
 //!   flags as future work; it drives the adaptive-remapping extension.
 //! * [`faults`] injects *failures* on top: seeded, reproducible crash /

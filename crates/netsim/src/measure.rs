@@ -3,7 +3,7 @@
 //! §1/§2.2 of the paper: "the bandwidth of a network transport path can be
 //! measured using active traffic measurement technique based on a linear
 //! regression model". The authors probed real WAN paths; we do not have a
-//! WAN, so — per the substitution rule in DESIGN.md §4 — [`ProbePlan::run`]
+//! WAN, so a seeded simulation stands in for it: [`ProbePlan::run`]
 //! *simulates* the probes against a ground-truth [`Link`] with configurable
 //! noise, and [`fit_link`] recovers `(b, d)` by ordinary least squares on
 //! `t = m·8/1e3/b + d`. The estimator code path is identical to what would

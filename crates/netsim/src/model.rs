@@ -54,8 +54,8 @@ impl Link {
         serialization_ms(bytes, self.bw_mbps) + self.mld_ms
     }
 
-    /// Transport time without the MLD term — what Eq. 1/3/4 literally use
-    /// (see DESIGN.md erratum 1). Exposed so the cost model can toggle.
+    /// Transport time without the MLD term — what Eq. 1/3/4 literally use,
+    /// though §2.2 defines `m/b + d`. Exposed so the cost model can toggle.
     #[inline]
     pub fn serialization_time_ms(&self, bytes: f64) -> f64 {
         serialization_ms(bytes, self.bw_mbps)

@@ -3,8 +3,8 @@
 //! The paper evaluates its mappings purely with the analytic cost model
 //! (Eq. 1/2); the real system behind those models was the remote
 //! visualization pipeline of reference \[13\], which we do not have. This
-//! crate is the substitution (DESIGN.md §4): a deterministic discrete-event
-//! simulator that *executes* a mapped pipeline frame by frame and measures
+//! crate is the substitution: a deterministic discrete-event simulator
+//! that *executes* a mapped pipeline frame by frame and measures
 //! what actually happens, so the analytic objectives can be validated
 //! end-to-end (experiment V1):
 //!

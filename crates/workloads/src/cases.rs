@@ -4,9 +4,10 @@
 //! and reports minimum end-to-end delay and maximum frame rate for ELPC,
 //! Streamline, and Greedy on each. The scanned PDF's table is OCR-garbled,
 //! so the *exact* published dimensions and random draws are unrecoverable;
-//! this suite reconstructs the study's shape (DESIGN.md §4): a geometric
-//! progression from the paper's worked small case (5 modules, 6 nodes —
-//! shown in Fig. 3/4) up to large instances, with one fixed seed per case.
+//! this suite reconstructs the study's shape with seeded stand-ins: a
+//! geometric progression from the paper's worked small case (5 modules,
+//! 6 nodes — shown in Fig. 3/4) up to large instances, with one fixed seed
+//! per case.
 //!
 //! Note on the small case: the paper says "5 modules, 6 nodes, and 32
 //! links", but a 6-node simple graph holds at most 15 undirected links —

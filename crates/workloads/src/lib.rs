@@ -8,7 +8,7 @@
 //! * [`cases`] — the 20-case suite behind Fig. 2/5/6 (the published table's
 //!   exact random draws are unrecoverable from the scanned PDF, so the
 //!   suite is a seeded geometric progression anchored at the paper's worked
-//!   5-module/6-node small case — DESIGN.md §4);
+//!   5-module/6-node small case);
 //! * [`compare`] — runs every algorithm in the `elpc_mapping::registry`
 //!   on one instance through a shared `SolveContext` (one metric-closure
 //!   computation per instance, not per solver), producing the row shape of

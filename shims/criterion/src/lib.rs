@@ -5,7 +5,9 @@
 //! `criterion_group!`, `criterion_main!`) with a deliberately simple
 //! protocol: a short warm-up, then timed batches until the measurement
 //! budget is spent. Each group writes `BENCH_<group>.json` into the current
-//! working directory so results are tracked across runs.
+//! working directory so results are tracked across runs: one row per
+//! benchmark, its throughput annotation as `params`, `mean_ns` and `iters`
+//! as `metrics`, stamped with the CPU count, build profile and revision.
 
 use std::fmt::Display;
 use std::fmt::Write as _;
@@ -164,21 +166,36 @@ impl BenchmarkGroup<'_> {
         self.bench_function(id, |b| f(b, input))
     }
 
-    /// Writes the group's `BENCH_<name>.json` artifact and prints a summary.
+    /// Writes the group's `BENCH_<name>.json` artifact in the workspace's
+    /// one artifact shape, `{group, env: {cpus, profile, rev}, rows: [{id,
+    /// params, metrics}]}`; `tests/bench_artifacts.rs` reads it with the
+    /// same reader as the hand-written artifacts.
     pub fn finish(&mut self) {
         let mut json = String::from("{\n");
         let _ = writeln!(json, "  \"group\": \"{}\",", self.name);
-        json.push_str("  \"benchmarks\": [\n");
+        let _ = writeln!(
+            json,
+            "  \"env\": {{\"cpus\": {}, \"profile\": \"{}\", \"rev\": \"{}\"}},",
+            std::thread::available_parallelism().map_or(1, |n| n.get()),
+            if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            },
+            git_rev()
+        );
+        json.push_str("  \"rows\": [\n");
         for (i, r) in self.results.iter().enumerate() {
-            let tp = match r.throughput {
-                Some(Throughput::Elements(n)) => format!(", \"elements\": {n}"),
-                Some(Throughput::Bytes(n)) => format!(", \"bytes\": {n}"),
+            let params = match r.throughput {
+                Some(Throughput::Elements(n)) => format!("\"elements\": {n}"),
+                Some(Throughput::Bytes(n)) => format!("\"bytes\": {n}"),
                 None => String::new(),
             };
             let _ = write!(
                 json,
-                "    {{\"id\": \"{}\", \"mean_ns\": {:.1}, \"iters\": {}{}}}",
-                r.id, r.mean_ns, r.iters, tp
+                "    {{\"id\": \"{}\", \"params\": {{{params}}}, \
+                 \"metrics\": {{\"mean_ns\": {:.1}, \"iters\": {}}}}}",
+                r.id, r.mean_ns, r.iters
             );
             json.push_str(if i + 1 < self.results.len() {
                 ",\n"
@@ -194,6 +211,19 @@ impl BenchmarkGroup<'_> {
             eprintln!("wrote {path}");
         }
     }
+}
+
+/// `git describe --always --dirty` of the working directory's checkout, or
+/// `unknown` outside one.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        .filter(|rev| !rev.is_empty())
+        .unwrap_or_else(|| "unknown".into())
 }
 
 /// Passed to benchmark closures; [`Bencher::iter`] runs and times the body.

@@ -72,6 +72,23 @@ impl Value {
         }
     }
 
+    /// The number, integer or not; `None` for every other kind.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Int(i) => Some(*i as f64),
+            Value::Num(f) => Some(*f),
+            _ => None,
+        }
+    }
+
+    /// The string, or `None` for every other kind.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
     fn kind(&self) -> &'static str {
         match self {
             Value::Null => "null",
@@ -312,6 +329,15 @@ impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
     }
 }
 
+impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        v.as_obj()?
+            .iter()
+            .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
+            .collect()
+    }
+}
+
 macro_rules! impl_tuple {
     ($(($($t:ident . $i:tt),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
@@ -366,5 +392,35 @@ impl Deserialize for () {
             Value::Null => Ok(()),
             other => Err(Error(format!("expected null, found {}", other.kind()))),
         }
+    }
+}
+
+// A value is its own tree, as `serde_json::Value` is in the real crates.
+impl Serialize for Value {
+    fn to_value(&self) -> Value {
+        self.clone()
+    }
+}
+impl Deserialize for Value {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Ok(v.clone())
+    }
+}
+
+macro_rules! impl_value_from {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(x: $t) -> Value {
+                x.to_value()
+            }
+        }
+    )*};
+}
+
+impl_value_from!(usize, f64);
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.to_string())
     }
 }

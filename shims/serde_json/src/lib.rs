@@ -2,7 +2,8 @@
 //! tree produced by the serde shim. Supports the API surface this workspace
 //! uses: [`to_string`], [`to_string_pretty`], [`from_str`].
 
-use serde::{Deserialize, Error, Serialize, Value};
+pub use serde::Value;
+use serde::{Deserialize, Error, Serialize};
 use std::fmt::Write as _;
 
 /// Result alias mirroring `serde_json::Result`.
