@@ -12,14 +12,16 @@
 //! consecutive cases hold the network fixed — making both reuse tiers
 //! visible in the same artifact.
 //!
-//! A second phase measures the **scale wall**: all-sources metric-closure
-//! construction on Barabási–Albert scale-free networks at 100 / 1 000 /
-//! 10 000 nodes, comparing the adjacency-list `algo::dijkstra` oracle (one
+//! A second phase, run before the sweep, measures the **scale wall**:
+//! all-sources metric-closure construction on Barabási–Albert scale-free
+//! networks at 100 / 1 000 / 10 000 nodes, comparing the adjacency-list `algo::dijkstra` oracle (one
 //! run per source, cost model resolved per heap relaxation) against the
 //! closure's CSR kernel (`par_warm` — flat snapshot, slot-aligned
 //! precomputed cost vector, recycled scratch), plus a banked routed solve
 //! over the warm closure and a peak-RSS proxy. The two kernels are verified
-//! bit-identical on the spot before timings are reported.
+//! bit-identical on the spot before timings are reported. Its sizes
+//! ascend and each row drops its trees before the next, so the
+//! process-wide high-water mark each row reads is that row's own peak.
 //!
 //! ```text
 //! cargo run --release -p elpc-experiments --bin scaling
@@ -225,7 +227,8 @@ fn closure_scaling_row(n: usize) -> Row {
             ("speedup", legacy_cold_ms / csr_cold_ms),
             // `elpc_delay_routed` on a ClosureBank checkout of the warm closure
             ("banked_solve_ms", banked_solve_ms),
-            // `VmHWM` after the build
+            // `VmHWM` after the build: this row's own peak, since the
+            // rows before it were smaller and the sweep runs after them
             ("peak_rss_mb", rss),
         ],
     )
@@ -283,6 +286,10 @@ fn run_closure_scaling(smoke: bool) {
 
 fn main() {
     let smoke = std::env::var("SCALING_SMOKE").is_ok_and(|v| v == "1");
+    // first: the sweep's instances would otherwise set the peak RSS the
+    // closure rows read
+    run_closure_scaling(smoke);
+
     let cost = CostModel::default();
     let mut sweep: Vec<(usize, usize, usize)> = vec![
         (5, 10, 20),
@@ -393,6 +400,4 @@ fn main() {
         bstats.hits + bstats.misses,
         bstats.hit_rate() * 100.0
     );
-
-    run_closure_scaling(smoke);
 }

@@ -367,17 +367,30 @@ impl<'a> MetricClosure<'a> {
     /// fingerprint). Entries whose tree does not match this network's node
     /// count are rejected; existing entries are kept. Returns the number of
     /// entries inserted. Seeding is not a query: stats are untouched.
+    ///
+    /// Entries are grouped by shard first, so each shard's write lock is
+    /// taken once per call, not once per tree; within a shard they are
+    /// inserted in the order given.
     pub fn seed(&self, entries: &[CachedTree]) -> usize {
         let k = self.net.node_count();
-        let mut inserted = 0;
+        let mut by_shard: [Vec<&CachedTree>; SHARD_COUNT] = Default::default();
         for e in entries {
-            if e.tree.dist.len() != k || (e.key.source as usize) >= k {
+            if e.tree.dist.len() == k && (e.key.source as usize) < k {
+                by_shard[shard_of(&e.key)].push(e);
+            }
+        }
+        let mut inserted = 0;
+        for (shard, group) in self.shards.iter().zip(&by_shard) {
+            if group.is_empty() {
                 continue;
             }
-            let mut shard = self.shards[shard_of(&e.key)].write();
-            if let std::collections::hash_map::Entry::Vacant(v) = shard.entry(e.key) {
-                v.insert(Arc::clone(&e.tree));
-                inserted += 1;
+            let mut shard = shard.write();
+            shard.reserve(group.len());
+            for e in group {
+                if let std::collections::hash_map::Entry::Vacant(v) = shard.entry(e.key) {
+                    v.insert(Arc::clone(&e.tree));
+                    inserted += 1;
+                }
             }
         }
         inserted

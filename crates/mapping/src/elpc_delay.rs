@@ -15,10 +15,12 @@
 //! paper's Eq. 4 omits but its own Fig. 3 solution requires.
 //!
 //! One column loop, `solve_columns`, serves both variants; they differ only
-//! in the moves they offer it: [`solve`] the network's links, and
-//! [`solve_routed_ctx`] every host pair of the metric closure. A cell keeps
-//! a move only if it is strictly smaller, so ties go to the stay case, then
-//! to the first move offered: each variant's move order is its tie-break.
+//! in the moves they offer it: [`solve`] the network's links, one at a
+//! time, and [`solve_routed_ctx`] every host pair of the metric closure,
+//! one closure row per reached host in a single pass over the column. A
+//! cell keeps a move only if it is strictly smaller, so ties go to the stay
+//! case, then to the first move offered: each variant's move order is its
+//! tie-break.
 
 use crate::{
     AssignmentSolution, CostModel, DelaySolution, Instance, Mapping, MappingError, Result,
@@ -42,6 +44,25 @@ impl Column {
         if t < self.cost[v] {
             self.cost[v] = t;
             self.parent[v] = Some(NodeId::from_index(u));
+        }
+    }
+
+    /// Offers every move out of host `u` at once: `u → v` costs
+    /// `(from + dist[v]) + compute[v]`, kept under [`Column::relax`]'s
+    /// strict rule. One pass over the four rows, without per-cell guards:
+    /// `u`'s own cell (`dist[u] == 0.0`) offers bitwise its stay value,
+    /// and an unreachable cell offers `∞`, so neither is ever kept.
+    fn relax_row(&mut self, u: usize, from: f64, dist: &[f64]) {
+        debug_assert_eq!(dist.len(), self.cost.len(), "one distance per host");
+        debug_assert_eq!(dist[u], 0.0, "a tree's root is at distance zero");
+        let via = Some(NodeId::from_index(u));
+        let cells = self.cost.iter_mut().zip(&mut self.parent);
+        for ((cost, parent), (&d, &compute)) in cells.zip(dist.iter().zip(&self.compute)) {
+            let t = (from + d) + compute;
+            if t < *cost {
+                *cost = t;
+                *parent = via;
+            }
         }
     }
 }
@@ -158,12 +179,17 @@ pub fn solve(inst: &Instance<'_>, cost: &CostModel) -> Result<DelaySolution> {
 /// (the Fig. 2/5 tables do).
 ///
 /// Moves are source-major: for each reached host `u` in ascending order,
-/// one [`SolveContext::routed_from`] query, then each other host `v` it
-/// reaches in ascending order, charged `(prev[u] + d(u→v)) + compute[v]`;
-/// ties go to the lowest source. `O(n·k²)` relax work plus the trees,
-/// which come from the context's shared [`crate::MetricClosure`] (built in
-/// parallel up front, [`SolveContext::warm_routed_dp`], on a
-/// [`SolveContext::with_threads`] context).
+/// one [`SolveContext::routed_from`] query, then one pass over the whole
+/// column that offers every cell `v` the move `(prev[u] + d(u→v)) +
+/// compute[v]`; ties go to the stay case, then to the lowest source. The
+/// pass has no per-cell guards because the two cells the moves exclude
+/// can never win: `u`'s own cell has `d(u→u) = 0`, so it offers bitwise
+/// its stay value, and a host `u` cannot reach has `d = ∞`, so it offers
+/// `∞`; neither is strictly smaller than the cell. `O(n·k²)` relax work
+/// plus the trees, which come from the context's shared
+/// [`crate::MetricClosure`] (built in parallel up front,
+/// [`SolveContext::warm_routed_dp`], on a [`SolveContext::with_threads`]
+/// context).
 pub fn solve_routed_ctx(ctx: &SolveContext<'_>) -> Result<AssignmentSolution> {
     let inst = ctx.instance();
     let pipe = inst.pipeline;
@@ -176,12 +202,7 @@ pub fn solve_routed_ctx(ctx: &SolveContext<'_>) -> Result<AssignmentSolution> {
                 continue;
             }
             let tree = ctx.routed_from(NodeId::from_index(u), in_bytes);
-            for (v, &d) in tree.dist.iter().enumerate() {
-                if u == v || d.is_infinite() {
-                    continue;
-                }
-                col.relax(u, v, from + d + col.compute[v]);
-            }
+            col.relax_row(u, from, &tree.dist);
         }
     })
     .ok_or_else(|| {
@@ -416,6 +437,72 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A slow source `s` and a slow destination `t`, joined through two
+    /// identical fast relays `a < b` by identical links, plus a fast host
+    /// no link reaches. Every route over the relays costs bitwise the same.
+    fn twin_relay_net() -> Network {
+        let mut b = Network::builder();
+        let s = b.add_node(1.0).unwrap();
+        let (ra, rb) = (b.add_node(1000.0).unwrap(), b.add_node(1000.0).unwrap());
+        let t = b.add_node(1.0).unwrap();
+        b.add_node(1000.0).unwrap();
+        for (x, y) in [(s, ra), (s, rb), (ra, t), (rb, t)] {
+            b.add_link(x, y, 100.0, 0.1).unwrap();
+        }
+        b.build_unchecked()
+    }
+
+    #[test]
+    fn routed_scan_breaks_exact_ties_stay_first_then_lowest_source() {
+        let net = twin_relay_net();
+        let [s, a, t, lone] = [0, 1, 3, 4].map(NodeId);
+        // zero compute: at `t` the stay and the moves from `s`, `a` and
+        // `b` all cost bitwise `2d`, and the stay keeps the cell
+        let free = Pipeline::new(vec![
+            Module::new(0.0, 1e4),
+            Module::new(0.0, 1e4),
+            Module::new(0.0, 0.0),
+        ])
+        .unwrap();
+        let inst = Instance::new(&net, &free, s, t).unwrap();
+        let sol = solve_routed(&inst, &cost()).unwrap();
+        assert_eq!(sol.assignment, vec![s, t, t]);
+
+        // real compute: the slow endpoints lose, and the relays' moves into
+        // `t` tie exactly, so the lower source `a` keeps the cell
+        let work = Pipeline::new(vec![
+            Module::new(0.0, 1e4),
+            Module::new(1.0, 1e4),
+            Module::new(1.0, 0.0),
+        ])
+        .unwrap();
+        let inst = Instance::new(&net, &work, s, t).unwrap();
+        let sol = solve_routed(&inst, &cost()).unwrap();
+        assert_eq!(sol.assignment, vec![s, a, t]);
+
+        // the unreached host's cell: its distance is infinite in every
+        // row, and offering it leaves the cell unreached and unparented
+        let ctx = SolveContext::new(inst, cost());
+        let tree = ctx.routed_from(s, 1e4);
+        assert!(tree.dist[lone.index()].is_infinite());
+        let k = net.node_count();
+        let mut col = Column {
+            compute: vec![10.0; k],
+            cost: vec![f64::INFINITY; k],
+            parent: vec![None; k],
+        };
+        (col.cost[s.index()], col.parent[s.index()]) = (10.0, Some(s));
+        col.relax_row(s.index(), 0.0, &tree.dist);
+        assert_eq!(col.cost[lone.index()], f64::INFINITY);
+        assert_eq!(col.parent[lone.index()], None);
+        // the root's own cell offered exactly its stay value, and kept it
+        assert_eq!(
+            (col.cost[s.index()], col.parent[s.index()]),
+            (10.0, Some(s))
+        );
+        assert_eq!(col.parent[a.index()], Some(s));
     }
 
     #[test]

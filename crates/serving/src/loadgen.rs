@@ -123,7 +123,12 @@ pub struct LoadReport {
     pub elapsed_s: f64,
     /// Successful replies per second of wall clock.
     pub throughput_rps: f64,
-    /// Mean end-to-end latency (ms) over successful replies.
+    /// Mean end-to-end latency (ms) over successful replies. Open-loop
+    /// latency runs from a request's scheduled due instant when the run is
+    /// paced ([`LoadConfig::rate_per_sec`] `> 0`), so a writer that falls
+    /// behind its schedule shows up here, and from its send when unpaced;
+    /// closed-loop latency runs from the first attempt to the reply. The
+    /// same holds for every latency field below.
     pub mean_ms: f64,
     /// Median end-to-end latency (ms).
     pub p50_ms: f64,
@@ -174,8 +179,8 @@ pub fn run_open_loop(
             // for responses (open loop).
             s.spawn(move || {
                 for k in my_ids {
-                    if !interval.is_zero() {
-                        let due = start + interval.mul_f64(k as f64);
+                    let due = due_instant(start, interval, k);
+                    if let Some(due) = due {
                         let now = Instant::now();
                         if due > now {
                             std::thread::sleep(due - now);
@@ -184,10 +189,12 @@ pub fn run_open_loop(
                     let body = Request::Solve(cfg.request(&instances[k % instances.len()]));
                     let frame = RequestFrame { id: k as u64, body };
                     let payload = encode_request(&frame);
+                    // a paced request is timed from when it was due, so a
+                    // writer running late counts its own lateness
                     in_flight
                         .lock()
                         .unwrap_or_else(|e| e.into_inner())
-                        .insert(frame.id, Instant::now());
+                        .insert(frame.id, due.unwrap_or_else(Instant::now));
                     if write_frame(&mut w, payload.as_bytes()).is_err() {
                         break;
                     }
@@ -224,6 +231,13 @@ pub fn run_open_loop(
     })?;
 
     Ok(tally.report(start.elapsed().as_secs_f64()))
+}
+
+/// When request `k` of a paced run that began at `start` is due: `start +
+/// k · interval`. `None` for an unpaced run (`interval` zero), whose
+/// requests go out, and are timed, as fast as the writer sends them.
+fn due_instant(start: Instant, interval: Duration, k: usize) -> Option<Instant> {
+    (!interval.is_zero()).then(|| start + interval.mul_f64(k as f64))
 }
 
 /// The closed-loop retry mode behind [`LoadConfig::retry`]: every
@@ -320,5 +334,26 @@ impl Tally {
             p99_ms: latency.p99_ms,
             max_ms: latency.max_ms,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn paced_requests_are_timed_from_their_due_instant() {
+        let start = Instant::now();
+        // unpaced: no schedule, so each request is timed from its send
+        assert_eq!(due_instant(start, Duration::ZERO, 0), None);
+        assert_eq!(due_instant(start, Duration::ZERO, 9), None);
+        // paced: request k is due k intervals after the start, whenever
+        // its writer gets to send it
+        let interval = Duration::from_millis(4);
+        assert_eq!(due_instant(start, interval, 0), Some(start));
+        assert_eq!(
+            due_instant(start, interval, 5),
+            Some(start + Duration::from_millis(20))
+        );
     }
 }
