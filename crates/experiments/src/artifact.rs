@@ -57,7 +57,7 @@ impl Env {
             .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
             .filter(|rev| !rev.is_empty());
         Env {
-            cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            cpus: elpc_mapping::par::effective_threads(0),
             profile: if cfg!(debug_assertions) {
                 "debug"
             } else {

@@ -13,8 +13,8 @@
 
 use elpc_experiments::{results_dir, save_csv};
 use elpc_mapping::elpc_rate::{solve_with, RateConfig};
-use elpc_mapping::{exact, CostModel, MappingError};
-use elpc_workloads::{sweep, InstanceSpec};
+use elpc_mapping::{exact, par, CostModel, MappingError};
+use elpc_workloads::InstanceSpec;
 
 #[derive(Default, Clone, Copy)]
 struct Tally {
@@ -35,7 +35,7 @@ fn main() {
     let ks = [1usize, 2, 4, 8];
 
     let seeds: Vec<u64> = (0..trials as u64).collect();
-    let per_seed = sweep::run_parallel(&seeds, 0, |_, &seed| {
+    let per_seed = par::map(&seeds, 0, |&seed| {
         // small instances keep exhaustive search tractable
         let m = 3 + (seed % 3) as usize; // 3..=5 modules
         let n = m + 2 + (seed % 4) as usize; // a few spare nodes

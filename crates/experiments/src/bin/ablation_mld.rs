@@ -13,8 +13,8 @@
 //! Artifact: `results/ablation_mld.csv`.
 
 use elpc_experiments::{results_dir, save_csv};
-use elpc_mapping::{solver, CostModel, Solution, SolveContext};
-use elpc_workloads::{cases, sweep};
+use elpc_mapping::{par, solver, CostModel, Solution, SolveContext};
+use elpc_workloads::cases;
 
 fn main() {
     let with = CostModel { include_mld: true };
@@ -23,7 +23,7 @@ fn main() {
     let delay = solver("elpc_delay").expect("registered");
     let rate = solver("elpc_rate").expect("registered");
 
-    let rows = sweep::run_parallel(&specs, 0, |_, spec| {
+    let rows = par::map(&specs, 0, |spec| {
         let inst_owned = spec.generate().expect("suite cases generate");
         let inst = inst_owned.as_instance();
         let ctx_with = SolveContext::new(inst, with);

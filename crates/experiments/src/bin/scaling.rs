@@ -17,9 +17,10 @@
 //! networks at 100 / 1 000 / 10 000 nodes, comparing the adjacency-list `algo::dijkstra` oracle (one
 //! run per source, cost model resolved per heap relaxation) against the
 //! closure's CSR kernel (`par_warm` — flat snapshot, slot-aligned
-//! precomputed cost vector, recycled scratch), plus a banked routed solve
-//! over the warm closure and a peak-RSS proxy. The two kernels are verified
-//! bit-identical on the spot before timings are reported. Its sizes
+//! precomputed cost vector, recycled scratch), plus the median of 5 banked
+//! routed solves over the warm closure and a peak-RSS proxy. The two
+//! kernels are verified bit-identical on the spot before timings are
+//! reported. Its sizes
 //! ascend and each row drops its trees before the next, so the
 //! process-wide high-water mark each row reads is that row's own peak.
 //!
@@ -69,6 +70,13 @@ fn time_ms(f: impl FnOnce()) -> f64 {
     let t = Instant::now();
     f();
     t.elapsed().as_secs_f64() * 1e3
+}
+
+/// The median of a non-empty set of timings (the upper one of an even
+/// count).
+fn median_ms(mut runs: Vec<f64>) -> f64 {
+    runs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    runs[runs.len() / 2]
 }
 
 /// Peak resident set size (VmHWM) in MiB, from `/proc/self/status`; 0.0
@@ -154,10 +162,8 @@ fn closure_scaling_row(n: usize) -> Row {
             warm.par_warm(&sources, &[CLOSURE_PAYLOAD], 1);
         }));
     }
-    legacy_runs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    csr_runs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let legacy_cold_ms = legacy_runs[reps / 2];
-    let csr_cold_ms = csr_runs[reps / 2];
+    let legacy_cold_ms = median_ms(legacy_runs);
+    let csr_cold_ms = median_ms(csr_runs);
 
     // spot-check bit-identity on sampled sources (the proptest suite does
     // this exhaustively on small graphs; here we guard the measured pair)
@@ -207,9 +213,17 @@ fn closure_scaling_row(n: usize) -> Row {
     }
     let bctx = bank.context_for(inst, cost, 1);
     let routed = solver("elpc_delay_routed").expect("registered");
-    let banked_solve_ms = time_ms(|| {
-        routed.solve(&bctx).expect("routed solve succeeds");
-    });
+    // median of 5 warm solves on the one checkout: a single solve moved by
+    // a third between runs of the same code
+    let banked_solve_ms = median_ms(
+        (0..5)
+            .map(|_| {
+                time_ms(|| {
+                    routed.solve(&bctx).expect("routed solve succeeds");
+                })
+            })
+            .collect(),
+    );
 
     Row::new(
         format!("{n}n"),
@@ -225,7 +239,8 @@ fn closure_scaling_row(n: usize) -> Row {
             // all-sources closure via the batched CSR path (1 thread)
             ("csr_cold_ms", csr_cold_ms),
             ("speedup", legacy_cold_ms / csr_cold_ms),
-            // `elpc_delay_routed` on a ClosureBank checkout of the warm closure
+            // median of 5 `elpc_delay_routed` solves on one ClosureBank
+            // checkout of the warm closure
             ("banked_solve_ms", banked_solve_ms),
             // `VmHWM` after the build: this row's own peak, since the
             // rows before it were smaller and the sweep runs after them

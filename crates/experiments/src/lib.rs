@@ -16,9 +16,9 @@
 //! machine-readable artifacts under `results/`. [`artifact`] is the one
 //! writer and reader of the committed `BENCH_*.json` benchmark artifacts.
 
-use elpc_mapping::CostModel;
+use elpc_mapping::{par, CostModel};
 use elpc_workloads::compare::{run_case_opts, CaseResult};
-use elpc_workloads::{cases, sweep, ClosureBank};
+use elpc_workloads::{cases, ClosureBank};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -55,7 +55,7 @@ pub fn suite_results(reuse: bool) -> Vec<CaseResult> {
     // with no repeats every deposit is dead weight, so keep only a couple
     // of closures alive at a time instead of all twenty.
     let bank = ClosureBank::with_capacity(2);
-    let rows = sweep::run_parallel(&specs, 0, |_, spec| {
+    let rows = par::map(&specs, 0, |spec| {
         let inst = spec.generate().expect("suite cases generate cleanly");
         let row = run_case_opts(&inst, &cost, Some(&bank));
         eprintln!("  finished {}", row.label);

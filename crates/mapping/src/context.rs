@@ -34,15 +34,15 @@
 //! one tree per missing query. The per-source trees are embarrassingly
 //! parallel — no tree depends on any other — so
 //! [`MetricClosure::par_warm`] calls it for a whole `sources × payloads`
-//! block on scoped worker threads (the same work-pulling pattern as
-//! `elpc_workloads::sweep::run_parallel`), each worker recycling its own
-//! scratch. The routed DPs call [`SolveContext::warm_routed_dp`] on entry,
-//! which turns a serial cold solve into a parallel-warm one when the
-//! context was built with [`SolveContext::with_threads`]; with
-//! `threads == 1` the solvers keep their lazy, minimal-work behavior. The
-//! thread count only picks *when* and *on how many workers* trees are
-//! built, never *how*, so results are bit-for-bit identical at any thread
-//! count.
+//! block through [`crate::par::for_each_with`], the one work-pulling loop
+//! the delta repair, the portfolio race and the experiment sweeps share,
+//! each worker recycling its own scratch. The routed DPs call
+//! [`SolveContext::warm_routed_dp`] on entry, which turns a serial cold
+//! solve into a parallel-warm one when the context was built with
+//! [`SolveContext::with_threads`]; with `threads == 1` the solvers keep
+//! their lazy, minimal-work behavior. The thread count only picks *when*
+//! and *on how many workers* trees are built, never *how*, so results are
+//! bit-for-bit identical at any thread count.
 //!
 //! ## Cross-instance reuse
 //!
@@ -65,7 +65,7 @@ use elpc_netgraph::csr::{Csr, SsspScratch};
 use elpc_netgraph::NodeId;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Number of lock shards. A small power of two: enough to make write
@@ -169,15 +169,6 @@ fn shard_of(key: &TreeKey) -> usize {
     let mut h = elpc_netgraph::fnv::Fnv1a::new();
     h.write_u64(key.payload_bits).write_u64(key.source as u64);
     (h.finish() >> 32) as usize & (SHARD_COUNT - 1)
-}
-
-/// Resolves a thread-count request: `0` means "all CPUs".
-pub(crate) fn effective_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        threads
-    }
 }
 
 /// Lazily materialized routed metric closure of a network under one cost
@@ -323,26 +314,9 @@ impl<'a> MetricClosure<'a> {
             .flat_map(|&bytes| sources.iter().map(move |&src| TreeKey::new(src, bytes)))
             .filter(|key| seen.insert(*key) && !self.shards[shard_of(key)].read().contains_key(key))
             .collect();
-        let threads = effective_threads(threads).min(work.len());
-        if threads <= 1 {
-            let mut scratch = SsspScratch::new();
-            for &key in &work {
-                self.materialize(key, &mut scratch);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            crossbeam::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|_| {
-                        let mut scratch = SsspScratch::new();
-                        while let Some(&key) = work.get(next.fetch_add(1, Ordering::Relaxed)) {
-                            self.materialize(key, &mut scratch);
-                        }
-                    });
-                }
-            })
-            .expect("warm-up workers must not panic");
-        }
+        crate::par::for_each_with(&work, threads, SsspScratch::new, |scratch, &key| {
+            self.materialize(key, scratch);
+        });
         work.len()
     }
 

@@ -54,8 +54,9 @@
 //! The result is the least fixpoint of `dist[v] = min_u dist[u] ⊕ w(u, v)`,
 //! which is unique whatever the heap's tie order, so repaired distances are
 //! bit-identical to a cold build. Stale trees are split over `threads`
-//! scoped workers, each with its own scratch; each tree's result depends on
-//! nothing else, so the repair is bit-identical at any thread count.
+//! [`crate::par`] workers, each with its own scratch; each tree's result
+//! depends on nothing else, so the repair is bit-identical at any thread
+//! count.
 //!
 //! ## Ownership: repaired in place, never under a reader
 //!
@@ -104,13 +105,12 @@
 //! tight (`dist[u] + w == dist[v]` on the edge it names), but predecessors
 //! equal a cold build's only in generic position.
 
-use crate::context::{effective_threads, CachedTree, MetricClosure};
+use crate::context::{CachedTree, MetricClosure};
 use crate::{CostModel, MappingError, Result};
 use elpc_netgraph::algo::ShortestPaths;
 use elpc_netgraph::csr::SsspScratch;
 use elpc_netgraph::{EdgeId, NodeId};
 use elpc_netsim::{Link, Network};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -549,33 +549,10 @@ pub fn repair_trees(
                     .collect(),
             });
     }
-    let repair = |scratch: &mut SsspScratch, e: &mut CachedTree| {
+    crate::par::for_each_with(stale, threads, SsspScratch::new, |scratch, e| {
         let plan = &plan_of[&e.key.payload_bits];
         scratch.repair(csr, &plan.costs, Arc::make_mut(&mut e.tree), &plan.arcs);
-    };
-    let threads = effective_threads(threads).min(repaired);
-    if threads <= 1 {
-        let mut scratch = SsspScratch::new();
-        for e in stale {
-            repair(&mut scratch, e);
-        }
-    } else {
-        let queue = Mutex::new(stale.into_iter());
-        crossbeam::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|_| {
-                    let mut scratch = SsspScratch::new();
-                    loop {
-                        // release the queue before repairing
-                        let next = queue.lock().next();
-                        let Some(e) = next else { break };
-                        repair(&mut scratch, e);
-                    }
-                });
-            }
-        })
-        .expect("repair workers must not panic");
-    }
+    });
     RepairReport {
         total,
         kept,

@@ -86,6 +86,7 @@ pub mod greedy;
 pub mod lns;
 mod mapping;
 pub mod metaheuristic;
+pub mod par;
 pub mod portfolio;
 pub mod routed;
 mod solver;

@@ -4,8 +4,8 @@
 //! The registry makes every algorithm callable by name against a shared
 //! [`SolveContext`]; the portfolio turns that into a self-racing ensemble.
 //! [`solve_portfolio`] runs [`DELAY_SLATE`] or [`RATE_SLATE`] — on the
-//! context's [`SolveContext::warm_threads`] workers, concurrently on
-//! crossbeam scoped threads when that is not `1` — against **one** shared
+//! context's [`SolveContext::warm_threads`] workers, concurrently through
+//! [`crate::par`] when that is not `1` — against **one** shared
 //! metric closure, then returns the best result with per-member
 //! timing/quality attribution. A plain [`SolveContext::new`] context races
 //! the slate serially, a `with_threads(inst, cost, 0)` context races it on
@@ -32,10 +32,7 @@
 //! pins that the `hits + misses == queries` statistics invariant and the
 //! closure contents survive it bit-for-bit.
 
-use crate::context::effective_threads;
-use crate::{solver, MappingError, Objective, Result, Solution, SolveContext, Solver};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::{par, solver, MappingError, Objective, Result, Solution, SolveContext, Solver};
 
 /// The delay slate, in tie-break priority order. Leads with the
 /// routed-optimal DP, then the polynomial baselines, then `lns_delay`, the
@@ -93,7 +90,7 @@ pub struct PortfolioSolution {
 
 /// Races the `objective`'s slate on `ctx` and returns the best result.
 ///
-/// Members run concurrently on crossbeam scoped threads when
+/// Members run concurrently on [`crate::par`]'s workers when
 /// `ctx.warm_threads() != 1` (`0` = all CPUs), all sharing `ctx`'s metric
 /// closure, so the all-pairs transfer trees are built once for the whole
 /// slate. The winner is the member with the lowest `objective_ms`, ties
@@ -140,7 +137,7 @@ type TimedOutcome = (Result<Solution>, f64);
 
 /// Races `members` on `ctx`: runs each once — serially when
 /// `ctx.warm_threads()` resolves to one worker, otherwise work-pulled onto
-/// scoped worker threads all sharing `ctx` — then picks the winner by
+/// [`par::map`]'s workers all sharing `ctx` — then picks the winner by
 /// value, ties by slate order, and collapses the errors when nothing
 /// solved.
 fn race(ctx: &SolveContext<'_>, members: &[&'static dyn Solver]) -> Result<PortfolioSolution> {
@@ -152,35 +149,11 @@ fn race(ctx: &SolveContext<'_>, members: &[&'static dyn Solver]) -> Result<Portf
     if members.iter().any(|s| s.uses_eval_kernel()) {
         ctx.eval_kernel();
     }
-    let timed_solve = |i: usize| -> TimedOutcome {
+    let outcomes: Vec<TimedOutcome> = par::map(members, ctx.warm_threads(), |member| {
         let start = std::time::Instant::now();
-        let result = members[i].solve(ctx);
+        let result = member.solve(ctx);
         (result, start.elapsed().as_secs_f64() * 1e3)
-    };
-    let threads = effective_threads(ctx.warm_threads()).min(members.len());
-    let outcomes: Vec<TimedOutcome> = if threads <= 1 {
-        (0..members.len()).map(timed_solve).collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<TimedOutcome>>> =
-            members.iter().map(|_| Mutex::new(None)).collect();
-        crossbeam::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= members.len() {
-                        break;
-                    }
-                    *slots[i].lock() = Some(timed_solve(i));
-                });
-            }
-        })
-        .expect("portfolio members must not panic");
-        slots
-            .into_iter()
-            .map(|m| m.into_inner().expect("every slate slot is filled"))
-            .collect()
-    };
+    });
 
     // winner by value, ties by slate order — finish order never enters
     let mut winner: Option<(usize, f64)> = None;

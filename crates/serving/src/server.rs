@@ -59,6 +59,7 @@ use crate::protocol::{
     SolveReply, SolveRequest, StatsReply,
 };
 use crossbeam::channel;
+use elpc_mapping::par::effective_threads;
 use elpc_mapping::{solver, Instance, NetworkDelta, NodeId};
 use elpc_workloads::bank::{BankedNetwork, ClosureBank};
 use elpc_workloads::ProblemInstance;
@@ -231,7 +232,7 @@ impl Shared {
             conns: parking_lot::Mutex::new(HashMap::new()),
             coalesce: StdMutex::new(HashMap::new()),
             no_closure: parking_lot::Mutex::new(KeySet::with_capacity(bank_capacity)),
-            cpus: cpu_count(),
+            cpus: effective_threads(0),
             workers: workers as u64,
             queue_capacity: config.queue_capacity as u64,
             stats: Counters::default(),
@@ -285,11 +286,6 @@ impl Shared {
     }
 }
 
-/// CPUs this process may use (1 when unknown).
-fn cpu_count() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 /// Backlog-drain estimate for shed replies: `depth` jobs at
 /// `mean_latency_ms` each across `workers` lanes, clamped to
 /// [10 ms, 10 s] so clients never busy-spin or stall for minutes on a
@@ -319,11 +315,7 @@ impl Server {
         let path = path.as_ref().to_path_buf();
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path)?;
-        let workers = if config.workers == 0 {
-            cpu_count()
-        } else {
-            config.workers
-        };
+        let workers = effective_threads(config.workers);
         let (tx, rx) = channel::unbounded::<Job>();
         let shared = Arc::new(Shared::new(path, &config, tx, workers));
         let worker_handles = (0..workers)
@@ -966,7 +958,7 @@ mod tests {
     #[test]
     fn request_threads_are_capped_at_the_cpu_count() {
         let shared = test_shared(1);
-        assert_eq!(shared.capped_threads(usize::MAX), cpu_count());
+        assert_eq!(shared.capped_threads(usize::MAX), effective_threads(0));
         assert_eq!(shared.capped_threads(0), 0, "0 still means all CPUs");
         assert_eq!(shared.capped_threads(1), 1);
     }

@@ -379,9 +379,7 @@ pub fn run_cases(
     threads: usize,
     bank: Option<&ClosureBank>,
 ) -> Vec<CaseResult> {
-    crate::sweep::run_parallel(instances, threads, |_, inst| {
-        run_case_opts(inst, cost, bank)
-    })
+    elpc_mapping::par::map(instances, threads, |inst| run_case_opts(inst, cost, bank))
 }
 
 #[cfg(test)]

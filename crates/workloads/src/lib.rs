@@ -13,9 +13,6 @@
 //!   on one instance through a shared `SolveContext` (one metric-closure
 //!   computation per instance, not per solver), producing the row shape of
 //!   Fig. 2 plus a generic any-solver runner;
-//! * [`sweep`] — a crossbeam-based parallel map that keeps experiment
-//!   wall-time reasonable on large suites (each worker gets its own
-//!   per-instance context, so results are thread-count-invariant);
 //! * [`bank`] — the [`ClosureBank`], a topology-keyed (network fingerprint
 //!   × cost model × payload set) cross-instance cache of metric-closure
 //!   trees, so consecutive cases sharing a network skip the all-pairs
@@ -28,7 +25,6 @@ pub mod bank;
 pub mod cases;
 pub mod compare;
 mod instance;
-pub mod sweep;
 
 pub use bank::{BankStats, BankedNetwork, ClosureBank};
 pub use instance::{InstanceSpec, ProblemInstance, TopologyKind};

@@ -1,69 +1,5 @@
-//! Offline stand-in for the `crossbeam` crate: [`scope`], implemented over
-//! `std::thread::scope` (stable since 1.63), plus the multi-producer
+//! Offline stand-in for the `crossbeam` crate: the multi-producer
 //! multi-consumer [`channel`] subset the serving worker pool pulls jobs
-//! from. Deques and epochs are out of scope.
-
-use std::any::Any;
+//! from. Scoped threads, deques and epochs are out of scope.
 
 pub mod channel;
-
-/// Error payload of a panicked scope, mirroring crossbeam's signature.
-pub type PanicPayload = Box<dyn Any + Send + 'static>;
-
-/// A scope handle passed to [`scope`]'s closure and to every spawned thread.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns a scoped thread. The closure receives the scope again so
-    /// nested spawning works, matching crossbeam's API shape.
-    pub fn spawn<F, T>(&self, f: F) -> std::thread::ScopedJoinHandle<'scope, T>
-    where
-        F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        let inner = self.inner;
-        self.inner.spawn(move || f(&Scope { inner }))
-    }
-}
-
-/// Runs `f` with a scope in which borrowed-data threads can be spawned; all
-/// threads are joined before returning. Returns `Err` with the panic payload
-/// when the closure or an unjoined spawned thread panicked.
-pub fn scope<'env, F, R>(f: F) -> Result<R, PanicPayload>
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        std::thread::scope(|s| f(&Scope { inner: s }))
-    }))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn scoped_threads_borrow_and_join() {
-        let counter = AtomicUsize::new(0);
-        let out = scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|_| counter.fetch_add(1, Ordering::Relaxed));
-            }
-            42
-        })
-        .unwrap();
-        assert_eq!(out, 42);
-        assert_eq!(counter.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn panics_surface_as_err() {
-        let r = scope(|s| {
-            s.spawn(|_| panic!("boom"));
-        });
-        assert!(r.is_err());
-    }
-}

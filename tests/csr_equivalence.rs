@@ -176,19 +176,22 @@ proptest! {
                 lazy.routed_from(s, bytes);
             }
         }
-        let warm = MetricClosure::new(&net, cost);
         let sources: Vec<NodeId> = net.node_ids().collect();
-        let built = warm.par_warm(&sources, &payloads, 1);
-        prop_assert_eq!(built, n * payloads.len());
-
         let a = lazy.export();
-        let b = warm.export();
-        prop_assert_eq!(a.len(), b.len());
-        for (ea, eb) in a.iter().zip(&b) {
-            prop_assert_eq!(ea.key, eb.key);
-            for v in 0..n {
-                prop_assert_eq!(ea.tree.dist[v].to_bits(), eb.tree.dist[v].to_bits());
-                prop_assert_eq!(ea.tree.prev[v], eb.tree.prev[v]);
+        // inline on the caller's thread, and on three work-pulling workers
+        for threads in [1, 3] {
+            let warm = MetricClosure::new(&net, cost);
+            let built = warm.par_warm(&sources, &payloads, threads);
+            prop_assert_eq!(built, n * payloads.len());
+
+            let b = warm.export();
+            prop_assert_eq!(a.len(), b.len());
+            for (ea, eb) in a.iter().zip(&b) {
+                prop_assert_eq!(ea.key, eb.key);
+                for v in 0..n {
+                    prop_assert_eq!(ea.tree.dist[v].to_bits(), eb.tree.dist[v].to_bits());
+                    prop_assert_eq!(ea.tree.prev[v], eb.tree.prev[v]);
+                }
             }
         }
     }

@@ -4,14 +4,14 @@
 
 use elpc::mapping::elpc_rate::RateConfig;
 use elpc::mapping::{
-    elpc_delay, elpc_rate, solver, streamline, CostModel, Instance, MappingError, NodeId,
+    elpc_delay, elpc_rate, par, solver, streamline, CostModel, Instance, MappingError, NodeId,
     SolveContext,
 };
 use elpc::netgraph::gen;
 use elpc::netsim::{Link, Network, Node};
 use elpc::pipeline::Pipeline;
 use elpc::simcore::{simulate, Workload};
-use elpc::workloads::{cases, compare, sweep, InstanceSpec};
+use elpc::workloads::{cases, compare, InstanceSpec};
 
 fn cost() -> CostModel {
     CostModel::default()
@@ -67,7 +67,7 @@ fn parallel_sweep_equals_sequential_run() {
         .iter()
         .map(|s| compare::run_case(&s.generate().unwrap(), &cost()))
         .collect();
-    let par = sweep::run_parallel(specs, 3, |_, s| {
+    let par = par::map(specs, 3, |s| {
         compare::run_case(&s.generate().unwrap(), &cost())
     });
     assert_eq!(seq, par);
@@ -81,7 +81,7 @@ fn parallel_sweep_equals_sequential_run() {
 fn parallel_sweep_is_thread_count_invariant_over_the_full_suite() {
     let specs = cases::paper_cases();
     let run = |threads: usize| {
-        sweep::run_parallel(&specs, threads, |_, s| {
+        par::map(&specs, threads, |s| {
             compare::run_case(&s.generate().expect("suite cases generate"), &cost())
         })
     };
