@@ -167,9 +167,10 @@ fn fault_rows(cost: CostModel) -> Vec<Row> {
         healthy.par_warm(&sources, &payloads, 0);
 
         let mut through = vec![0usize; nodes];
+        let graph = inst.network.graph();
         for e in healthy.export() {
-            for (u, _) in e.tree.prev.iter().flatten() {
-                through[u.index()] += 1;
+            for id in (0..nodes).filter_map(|v| e.tree.entering(v)) {
+                through[graph.edge(id).expect("valid edge").src.index()] += 1;
             }
         }
         let relay = (0..nodes).max_by_key(|&v| through[v]).expect("nodes");

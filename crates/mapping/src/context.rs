@@ -56,7 +56,7 @@
 //! pattern): the §2.2 edge cost is `bytes·8/b + d`, so route choice
 //! genuinely depends on the payload size, and consecutive pipeline stages
 //! usually reuse only a handful of distinct sizes. Entries store the full
-//! [`ShortestPaths`] (distances *and* predecessor links), so routed paths
+//! [`ShortestPaths`] (distances *and* entering edges), so routed paths
 //! can be reconstructed without a new traversal.
 
 use crate::{CostModel, Instance, MappingError, Result};
@@ -216,7 +216,8 @@ impl<'a> MetricClosure<'a> {
 
     /// The routed shortest-path tree from `src` for a payload of `bytes`:
     /// `tree.dist[v]` is the cheapest multi-hop transfer time (ms), and
-    /// `tree.prev` reconstructs the route. Cached after the first query.
+    /// `tree.entering(v)` names the route's last edge, from whose tail the
+    /// rest of the route follows. Cached after the first query.
     ///
     /// The result is identical (bit for bit) to calling
     /// [`elpc_netgraph::algo::dijkstra`] with the §2.2 edge cost directly —

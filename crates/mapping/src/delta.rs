@@ -462,7 +462,7 @@ fn tree_is_stale(tree: &ShortestPaths, priced: &[PricedChange]) -> bool {
     priced.iter().any(|pc| {
         // rule 1: the tree traverses the changed edge — only prev[v] can
         // name an edge into v
-        if tree.prev[pc.v].map(|(_, e)| e) == Some(pc.edge) {
+        if tree.entering(pc.v) == Some(pc.edge) {
             return true;
         }
         let du = tree.dist[pc.u];

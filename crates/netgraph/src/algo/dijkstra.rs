@@ -9,15 +9,38 @@ use crate::{Edge, EdgeId, Graph, NodeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Result of a Dijkstra run: per-node distance and predecessor links.
+/// Result of a Dijkstra run: per-node distance and entering edge, 12 bytes
+/// per node.
 #[derive(Debug, Clone)]
 pub struct ShortestPaths {
     /// `dist[v]` is the minimum additive cost from the source, `f64::INFINITY`
     /// when unreachable.
     pub dist: Vec<f64>,
-    /// `prev[v] = Some((u, e))` means the best path enters `v` via edge `e`
-    /// from `u`. The source and unreachable nodes have `None`.
-    pub prev: Vec<Option<(NodeId, EdgeId)>>,
+    /// `prev[v]` is the id of the edge the best path enters `v` by, or
+    /// [`ShortestPaths::NO_EDGE`] at the source and at unreachable nodes.
+    /// The edge's tail is the predecessor: read it from the graph
+    /// (`g.edge(e)?.src`). [`ShortestPaths::entering`] decodes the sentinel.
+    pub prev: Vec<u32>,
+}
+
+impl ShortestPaths {
+    /// The `prev` entry of the source and of unreachable nodes. Edge ids
+    /// are `u32`, so a graph of `u32::MAX` edges or more is out of scope.
+    pub const NO_EDGE: u32 = u32::MAX;
+
+    /// The edge the best path enters `v` by; `None` at the source and at
+    /// unreachable nodes.
+    #[inline]
+    pub fn entering(&self, v: usize) -> Option<EdgeId> {
+        let e = self.prev[v];
+        (e != Self::NO_EDGE).then_some(EdgeId(e))
+    }
+
+    /// Bytes of the per-node payload: 8 per distance plus 4 per entering
+    /// edge.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(&self.dist[..]) + std::mem::size_of_val(&self.prev[..])
+    }
 }
 
 /// Max-heap entry ordered by *smallest* distance first.
@@ -63,7 +86,7 @@ pub fn dijkstra<N, E>(
 ) -> ShortestPaths {
     let n = g.node_count();
     let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
+    let mut prev = vec![ShortestPaths::NO_EDGE; n];
     if g.check_node(src).is_err() {
         return ShortestPaths { dist, prev };
     }
@@ -86,7 +109,7 @@ pub fn dijkstra<N, E>(
             let nd = d + w;
             if nd < dist[nb.node.index()] {
                 dist[nb.node.index()] = nd;
-                prev[nb.node.index()] = Some((u, nb.edge));
+                prev[nb.node.index()] = nb.edge.0;
                 heap.push(HeapEntry {
                     dist: nd,
                     node: nb.node,
@@ -97,18 +120,23 @@ pub fn dijkstra<N, E>(
     ShortestPaths { dist, prev }
 }
 
-/// Reconstructs the node sequence from `src` to `dst` out of predecessor
-/// links, or `None` when `dst` is unreachable.
-pub fn extract_path(sp: &ShortestPaths, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
+/// Reconstructs the node sequence from `src` to `dst` out of the entering
+/// edges of `sp`, a tree of `g`, reading each edge's tail from `g`; `None`
+/// when `dst` is unreachable.
+pub fn extract_path<N, E>(
+    g: &Graph<N, E>,
+    sp: &ShortestPaths,
+    src: NodeId,
+    dst: NodeId,
+) -> Option<Vec<NodeId>> {
     if dst.index() >= sp.dist.len() || sp.dist[dst.index()].is_infinite() {
         return None;
     }
     let mut path = vec![dst];
     let mut cur = dst;
     while cur != src {
-        let (p, _) = sp.prev[cur.index()]?;
-        path.push(p);
-        cur = p;
+        cur = g.edge(sp.entering(cur.index())?).ok()?.src;
+        path.push(cur);
     }
     path.reverse();
     Some(path)
@@ -138,7 +166,7 @@ mod tests {
         let (g, ns) = diamond();
         let sp = dijkstra(&g, ns[0], |_, e| e.payload);
         assert_eq!(sp.dist[3], 2.0); // via node 1
-        let path = extract_path(&sp, ns[0], ns[3]).unwrap();
+        let path = extract_path(&g, &sp, ns[0], ns[3]).unwrap();
         assert_eq!(path, vec![ns[0], ns[1], ns[3]]);
     }
 
@@ -151,7 +179,7 @@ mod tests {
         // inverted weights: 0-1-3 costs 1+1=2, 0-2-3 costs 1/3+2≈2.33
         let sp = dijkstra(&g, ns[0], |_, e| 1.0 / e.payload);
         assert!((sp.dist[3] - 2.0).abs() < 1e-9);
-        let path = extract_path(&sp, ns[0], ns[3]).unwrap();
+        let path = extract_path(&g, &sp, ns[0], ns[3]).unwrap();
         assert_eq!(path, vec![ns[0], ns[1], ns[3]]);
     }
 
@@ -161,7 +189,7 @@ mod tests {
         let lonely = g.add_node(());
         let sp = dijkstra(&g, ns[0], |_, e| e.payload);
         assert!(sp.dist[lonely.index()].is_infinite());
-        assert_eq!(extract_path(&sp, ns[0], lonely), None);
+        assert_eq!(extract_path(&g, &sp, ns[0], lonely), None);
     }
 
     #[test]
@@ -169,7 +197,24 @@ mod tests {
         let (g, ns) = diamond();
         let sp = dijkstra(&g, ns[0], |_, e| e.payload);
         assert_eq!(sp.dist[0], 0.0);
-        assert_eq!(extract_path(&sp, ns[0], ns[0]).unwrap(), vec![ns[0]]);
+        assert_eq!(extract_path(&g, &sp, ns[0], ns[0]).unwrap(), vec![ns[0]]);
+    }
+
+    #[test]
+    fn a_tree_holds_twelve_bytes_per_node() {
+        let (mut g, ns) = diamond();
+        let lonely = g.add_node(());
+        let sp = dijkstra(&g, ns[0], |_, e| e.payload);
+        assert_eq!(std::mem::size_of_val(&sp.prev[0]), 4);
+        assert_eq!(sp.bytes(), 12 * g.node_count());
+        // the source and unreachable nodes have no entering edge; every
+        // other node's edge ends at it
+        assert_eq!(sp.entering(ns[0].index()), None);
+        assert_eq!(sp.entering(lonely.index()), None);
+        for &v in &ns[1..] {
+            let e = sp.entering(v.index()).expect("reached");
+            assert_eq!(g.edge(e).unwrap().dst, v);
+        }
     }
 
     #[test]

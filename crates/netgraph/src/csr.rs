@@ -17,7 +17,7 @@
 //!
 //! [`SsspScratch::shortest_paths`] is a drop-in replacement for
 //! [`algo::dijkstra`](crate::algo::dijkstra), identical down to the last
-//! bit — `dist`/`prev` including predecessor choice under ties — by
+//! bit — `dist`/`prev` including the entering edge chosen under ties — by
 //! construction rather than by luck:
 //!
 //! * CSR slots preserve the graph's out-edge insertion order, so the
@@ -47,6 +47,12 @@
 //! buffers and cloning them out. Hand each worker thread its own scratch —
 //! the snapshot itself is immutable and freely shared.
 //!
+//! A tree is 12 bytes per node: an `f64` distance and the `u32` id of the
+//! entering edge ([`ShortestPaths::NO_EDGE`] at the source and at
+//! unreachable nodes), copied from the slot's `edge_ids` entry. The edge's
+//! tail is not stored: the graph already knows it, and the kernel and the
+//! repair only ever compare edges.
+//!
 //! ## Repairing a tree in place
 //!
 //! [`SsspScratch::repair`] brings an exact tree of this snapshot up to date
@@ -61,7 +67,9 @@
 //! `dist[v] = min_u dist[u] + w(u, v)` — unique, so its `dist` bits equal a
 //! cold run's whatever the heap's tie order. Predecessors equal the cold
 //! run's in generic position; under exact distance ties each one is still
-//! tight (`dist[u] + w == dist[v]` on the named arc).
+//! tight (`dist[u] + w == dist[v]` on the named arc). A node hangs below a
+//! changed arc exactly when its `prev` entry is that arc's edge id, so the
+//! subtree walk is one `u32` compare per out-slot.
 
 use crate::algo::ShortestPaths;
 use crate::{EdgeId, Graph, NodeId};
@@ -78,7 +86,7 @@ pub struct Csr {
     offsets: Vec<u32>,
     /// Destination node per slot.
     targets: Vec<u32>,
-    /// Originating [`EdgeId`] per slot (for predecessor links and cost
+    /// Originating [`EdgeId`] per slot (for entering-edge links and cost
     /// resolution).
     edge_ids: Vec<u32>,
     /// Prefix-sum offsets of the in-slot index: `in_offsets[v]..in_offsets[v+1]`
@@ -258,7 +266,7 @@ impl SsspScratch {
     /// CSR Dijkstra from `src` under the slot-aligned `costs` vector
     /// (see [`Csr::cost_vector`]). Bit-identical to
     /// [`algo::dijkstra`](crate::algo::dijkstra) with the same cost
-    /// function — including predecessor links under distance ties.
+    /// function — including the entering edge chosen under distance ties.
     ///
     /// # Panics
     /// Panics if `costs.len() != csr.arc_count()`; debug-panics on a
@@ -271,7 +279,7 @@ impl SsspScratch {
         );
         let n = csr.node_count();
         let mut dist = vec![f64::INFINITY; n];
-        let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
+        let mut prev = vec![ShortestPaths::NO_EDGE; n];
         if src.index() < n {
             self.heap.clear();
             dist[src.index()] = 0.0;
@@ -288,13 +296,7 @@ impl SsspScratch {
     /// the heap in distance order and relaxes each settled node's out-slots
     /// under `costs` with a strict `<`. A node settles (pops at its current
     /// label) at most once, because pops come in non-decreasing order.
-    fn settle(
-        &mut self,
-        csr: &Csr,
-        costs: &[f64],
-        dist: &mut [f64],
-        prev: &mut [Option<(NodeId, EdgeId)>],
-    ) {
+    fn settle(&mut self, csr: &Csr, costs: &[f64], dist: &mut [f64], prev: &mut [u32]) {
         let n = csr.node_count();
         let mut settled = 0usize;
         while let Some(MinEntry { bits, node: u }) = self.heap.pop() {
@@ -321,7 +323,7 @@ impl SsspScratch {
                 let nd = d + w;
                 if nd < dist[v] {
                     dist[v] = nd;
-                    prev[v] = Some((NodeId(u), EdgeId(csr.edge_ids[s + i])));
+                    prev[v] = csr.edge_ids[s + i];
                     self.heap.push(MinEntry {
                         bits: nd.to_bits(),
                         node: v as u32,
@@ -358,10 +360,8 @@ impl SsspScratch {
         );
         self.invalid.resize(n, false);
         let ShortestPaths { dist, prev } = sp;
-        let names_slot = |prev: &[Option<(NodeId, EdgeId)>], slot: usize| {
-            let v = csr.targets[slot] as usize;
-            prev[v].map(|(_, e)| e.0) == Some(csr.edge_ids[slot])
-        };
+        let names_slot =
+            |prev: &[u32], slot: usize| prev[csr.targets[slot] as usize] == csr.edge_ids[slot];
 
         // 1. invalidate the subtree below every changed tree arc
         for &(_, slot) in changed {
@@ -386,7 +386,7 @@ impl SsspScratch {
         }
         for &v in &self.dirty {
             dist[v as usize] = f64::INFINITY;
-            prev[v as usize] = None;
+            prev[v as usize] = ShortestPaths::NO_EDGE;
         }
 
         // 2. seed invalidated nodes from their valid in-neighbours, then
@@ -399,7 +399,7 @@ impl SsspScratch {
                     let nd = dist[t.index()] + costs[slot];
                     if nd < dist[v] {
                         dist[v] = nd;
-                        prev[v] = Some((t, EdgeId(csr.edge_ids[slot])));
+                        prev[v] = csr.edge_ids[slot];
                     }
                 }
             }
@@ -418,7 +418,7 @@ impl SsspScratch {
             let nd = dist[u.index()] + costs[slot];
             if nd < dist[v] {
                 dist[v] = nd;
-                prev[v] = Some((u, EdgeId(csr.edge_ids[slot])));
+                prev[v] = csr.edge_ids[slot];
                 self.heap.push(MinEntry {
                     bits: nd.to_bits(),
                     node: v as u32,

@@ -68,7 +68,7 @@ proptest! {
         let src = NodeId(0);
         let sp = dijkstra(&g, src, |_, e| e.payload);
         for v in g.node_ids() {
-            if let Some(path) = extract_path(&sp, src, v) {
+            if let Some(path) = extract_path(&g, &sp, src, v) {
                 // recompute the path cost by summing the cheapest edge
                 // between consecutive nodes; it can never beat sp.dist
                 let mut cost = 0.0;
@@ -81,6 +81,27 @@ proptest! {
                     cost += best;
                 }
                 prop_assert!(cost <= sp.dist[v.index()] + 1e-9);
+            }
+        }
+    }
+
+    #[test]
+    fn every_extracted_hop_is_a_tight_tree_edge((n, links, seed) in topo_params()) {
+        let g = build(n, links, seed);
+        let src = NodeId(0);
+        let sp = dijkstra(&g, src, |_, e| e.payload);
+        for t in g.node_ids() {
+            let path = extract_path(&g, &sp, src, t).expect("connected");
+            prop_assert_eq!(path[0], src);
+            prop_assert_eq!(*path.last().unwrap(), t);
+            for hop in path.windows(2) {
+                let (u, v) = (hop[0], hop[1]);
+                let e = g.edge(sp.entering(v.index()).expect("reached")).unwrap();
+                prop_assert_eq!((e.src, e.dst), (u, v));
+                prop_assert_eq!(
+                    sp.dist[v.index()].to_bits(),
+                    (sp.dist[u.index()] + e.payload).to_bits()
+                );
             }
         }
     }

@@ -189,8 +189,8 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
         s.queue_depth, s.max_queue_depth, s.workers
     );
     println!(
-        "bank: hits={} misses={} deposits={} repairs={}",
-        s.bank_hits, s.bank_misses, s.bank_deposits, s.bank_repairs
+        "bank: hits={} misses={} deposits={} repairs={} tree_bytes={}",
+        s.bank_hits, s.bank_misses, s.bank_deposits, s.bank_repairs, s.bank_tree_bytes
     );
     println!("by key: keyed={} unknown_keys={}", s.keyed, s.unknown_keys);
     println!(

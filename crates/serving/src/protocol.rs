@@ -427,6 +427,9 @@ pub struct StatsReply {
     pub bank_deposits: u64,
     /// Closure-bank in-place repairs (remap hit-with-repair migrations).
     pub bank_repairs: u64,
+    /// Bytes of the shortest-path trees the closure bank holds: 12 per
+    /// node per tree.
+    pub bank_tree_bytes: u64,
     /// Solve/remap requests whose network was resolved from a bank key.
     pub keyed: u64,
     /// Keyed requests refused with [`ServeError::UnknownNetwork`]; these

@@ -279,6 +279,7 @@ impl Shared {
             bank_misses: bank.misses,
             bank_deposits: bank.deposits,
             bank_repairs: bank.repairs,
+            bank_tree_bytes: bank.tree_bytes,
             keyed: self.stats.keyed.load(Ordering::Relaxed),
             unknown_keys: self.stats.unknown_keys.load(Ordering::Relaxed),
             latency,

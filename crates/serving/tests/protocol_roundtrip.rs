@@ -273,7 +273,7 @@ fn arb_solve_reply() -> impl Strategy<Value = SolveReply> {
 
 fn arb_stats_reply() -> impl Strategy<Value = StatsReply> {
     (
-        prop::collection::vec(any::<u64>(), 16..17),
+        prop::collection::vec(any::<u64>(), 17..18),
         (arb_finite_f64(), arb_finite_f64(), arb_finite_f64()),
         any::<u64>(),
     )
@@ -294,6 +294,7 @@ fn arb_stats_reply() -> impl Strategy<Value = StatsReply> {
             bank_repairs: counts[13],
             keyed: counts[14],
             unknown_keys: counts[15],
+            bank_tree_bytes: counts[16],
             latency: LatencySummary {
                 count: lat_count,
                 p50_ms,

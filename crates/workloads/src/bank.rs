@@ -45,6 +45,11 @@ pub struct BankStats {
     /// entry to a perturbed topology's key. Not checkouts: `hits + misses`
     /// still equals the number of [`ClosureBank::context_for`] calls.
     pub repairs: u64,
+    /// Bytes of the banked trees
+    /// ([`ShortestPaths::bytes`](elpc_netgraph::algo::ShortestPaths::bytes)
+    /// summed over every entry): 12 per node per tree. A counter kept as
+    /// entries are deposited, enriched, repaired and evicted; not a scan.
+    pub tree_bytes: u64,
 }
 
 impl BankStats {
@@ -122,13 +127,22 @@ struct BankEntry {
     network: Option<BankedNetwork>,
 }
 
-/// Closure store plus FIFO eviction order, behind one mutex.
+/// Bytes of a closure's trees.
+fn tree_bytes(trees: &[CachedTree]) -> u64 {
+    trees.iter().map(|t| t.tree.bytes() as u64).sum()
+}
+
+/// Closure store plus FIFO eviction order, behind one mutex. Entries are
+/// added and removed only through [`BankStore::put`] and
+/// [`BankStore::take`], which keep `tree_bytes` exact.
 #[derive(Default)]
 struct BankStore {
     entries: HashMap<u64, BankEntry>,
     /// Keys in first-deposit order; front is evicted first once the
     /// capacity is reached. Re-deposits of an existing key keep its slot.
     order: std::collections::VecDeque<u64>,
+    /// [`tree_bytes`] summed over `entries`.
+    tree_bytes: u64,
 }
 
 impl BankStore {
@@ -136,9 +150,25 @@ impl BankStore {
     fn make_room(&mut self, capacity: usize) {
         while self.order.len() >= capacity {
             if let Some(evicted) = self.order.pop_front() {
-                self.entries.remove(&evicted);
+                self.take(evicted);
             }
         }
+    }
+
+    /// Banks `trees` under `key`: a new entry holding no network, or new
+    /// trees for an existing entry, which keeps its network. Eviction
+    /// order is the caller's.
+    fn put(&mut self, key: u64, trees: Arc<Vec<CachedTree>>) {
+        let network = self.take(key).and_then(|old| old.network);
+        self.tree_bytes += tree_bytes(&trees);
+        self.entries.insert(key, BankEntry { trees, network });
+    }
+
+    /// Removes the entry under `key`; its eviction slot is the caller's.
+    fn take(&mut self, key: u64) -> Option<BankEntry> {
+        let entry = self.entries.remove(&key)?;
+        self.tree_bytes -= tree_bytes(&entry.trees);
+        Some(entry)
     }
 }
 
@@ -311,24 +341,16 @@ impl ClosureBank {
         }
         let mut guard = self.store.lock();
         let store = &mut *guard;
-        match store.entries.get_mut(&key) {
+        match store.entries.get(&key) {
             Some(old) if old.trees.len() >= exported.len() => return,
-            Some(old) => {
-                // enrich in place; the key keeps its eviction slot
-                old.trees = Arc::new(exported);
-            }
+            // enrich in place; the key keeps its eviction slot
+            Some(_) => {}
             None => {
                 store.make_room(self.capacity);
                 store.order.push_back(key);
-                store.entries.insert(
-                    key,
-                    BankEntry {
-                        trees: Arc::new(exported),
-                        network: None,
-                    },
-                );
             }
         }
+        store.put(key, Arc::new(exported));
         self.deposits.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -430,7 +452,7 @@ impl ClosureBank {
                 });
             }
             // take the entry out; its eviction slot stays in `order`
-            store.entries.remove(&old_key)?.trees
+            store.take(old_key)?.trees
         };
         // repair outside the lock; the Vec is copied only if a checkout
         // still holds it
@@ -444,7 +466,7 @@ impl ClosureBank {
         let mut guard = self.store.lock();
         let store = &mut *guard;
         let slot = store.order.iter().position(|&k| k == old_key);
-        match store.entries.get_mut(&new_key) {
+        match store.entries.get(&new_key) {
             // the new key is somehow already banked: richer-wins, and the
             // old key's slot simply retires
             Some(existing) => {
@@ -452,7 +474,7 @@ impl ClosureBank {
                     store.order.remove(i);
                 }
                 if existing.trees.len() < trees.len() {
-                    existing.trees = trees;
+                    store.put(new_key, trees);
                 }
             }
             None => {
@@ -465,13 +487,7 @@ impl ClosureBank {
                         store.order.push_back(new_key);
                     }
                 }
-                store.entries.insert(
-                    new_key,
-                    BankEntry {
-                        trees,
-                        network: None,
-                    },
-                );
+                store.put(new_key, trees);
             }
         }
         drop(guard);
@@ -486,6 +502,7 @@ impl ClosureBank {
             misses: self.misses.load(Ordering::Relaxed),
             deposits: self.deposits.load(Ordering::Relaxed),
             repairs: self.repairs.load(Ordering::Relaxed),
+            tree_bytes: self.store.lock().tree_bytes,
         }
     }
 
@@ -504,6 +521,7 @@ impl ClosureBank {
         let mut store = self.store.lock();
         store.entries.clear();
         store.order.clear();
+        store.tree_bytes = 0;
     }
 }
 
@@ -622,6 +640,9 @@ mod tests {
         let b = spec.generate(1).unwrap();
         let bank = ClosureBank::with_capacity(1);
         let s = solver("elpc_delay_routed").unwrap();
+        let bytes_of = |ctx: &SolveContext<'_>| {
+            ctx.closure().cached_trees() as u64 * 12 * a.network.node_count() as u64
+        };
 
         // deposit A (miss), then B (miss) — B's first deposit evicts A
         let ctx_a = bank.context_for(a.as_instance(), cost(), 1);
@@ -642,7 +663,8 @@ mod tests {
                 hits: 0,
                 misses: 3,
                 deposits: 2,
-                repairs: 0
+                repairs: 0,
+                tree_bytes: bytes_of(&ctx_b),
             }
         );
 
@@ -677,7 +699,8 @@ mod tests {
                 hits: 1,
                 misses: 4,
                 deposits: 3,
-                repairs: 0
+                repairs: 0,
+                tree_bytes: bytes_of(&cold_a),
             }
         );
     }
@@ -876,6 +899,56 @@ mod tests {
         bank.deposit(&ctx);
         assert!(bank.network(new_key).is_none());
         assert!(!bank.keep_network(new_key, &pert_net));
+    }
+
+    /// `tree_bytes` is 12 bytes per node per banked tree through every
+    /// way an entry changes: deposit, enrichment, repair, eviction, clear.
+    #[test]
+    fn tree_bytes_counts_the_trees_on_deposit() {
+        let spec = InstanceSpec::sized(5, 12, 26);
+        let (a, b) = (spec.generate(1).unwrap(), spec.generate(2).unwrap());
+        let per_tree = 12 * a.network.node_count() as u64;
+        let bank = ClosureBank::with_capacity(1);
+        let s = solver("elpc_delay_routed").unwrap();
+        let held = || bank.stats().tree_bytes;
+        assert_eq!(held(), 0);
+
+        // a one-tree deposit, then an enrichment
+        let poor = SolveContext::new(a.as_instance(), cost());
+        poor.routed_from(a.src, 1e4);
+        bank.deposit(&poor);
+        assert_eq!(held(), per_tree);
+        let rich = bank.context_for(a.as_instance(), cost(), 1);
+        s.solve(&rich).unwrap();
+        bank.deposit(&rich);
+        let trees = rich.closure().cached_trees() as u64;
+        assert!(trees > 1);
+        assert_eq!(held(), trees * per_tree);
+
+        // a repair moves the same trees to the perturbed key
+        let mut pert = a.clone();
+        let old = pert.network.link(EdgeId(0)).unwrap().clone();
+        pert.network
+            .set_link_symmetric(EdgeId(0), Link::new(old.bw_mbps * 0.5, old.mld_ms))
+            .unwrap();
+        let delta = NetworkDelta::between(&a.network, &pert.network).unwrap();
+        bank.update_in_place(
+            bank_key(&a.as_instance(), &cost()),
+            pert.as_instance(),
+            cost(),
+            &delta,
+            1,
+        )
+        .unwrap();
+        assert_eq!(held(), trees * per_tree);
+
+        // a second topology evicts the entry; clearing empties the bank
+        let other = bank.context_for(b.as_instance(), cost(), 1);
+        s.solve(&other).unwrap();
+        bank.deposit(&other);
+        assert_eq!(held(), other.closure().cached_trees() as u64 * per_tree);
+        bank.clear();
+        assert_eq!(held(), 0);
     }
 
     #[test]

@@ -140,7 +140,7 @@ fn assert_exact_and_tight(label: &str, net: &Network, cost: CostModel, a: &[Cach
     assert_eq!(a.len(), b.len(), "{label}: tree counts differ");
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.key, y.key, "{label}: key order differs");
-        let (dist, prev) = (&x.tree.dist, &x.tree.prev);
+        let dist = &x.tree.dist;
         for v in 0..dist.len() {
             assert_eq!(
                 dist[v].to_bits(),
@@ -148,7 +148,7 @@ fn assert_exact_and_tight(label: &str, net: &Network, cost: CostModel, a: &[Cach
                 "{label}: distance of node {v} from {:?} differs from the cold build",
                 x.key
             );
-            let Some((u, e)) = prev[v] else {
+            let Some(e) = x.tree.entering(v) else {
                 assert!(
                     v == x.key.source as usize || dist[v].is_infinite(),
                     "{label}: a reached node has no predecessor"
@@ -156,7 +156,8 @@ fn assert_exact_and_tight(label: &str, net: &Network, cost: CostModel, a: &[Cach
                 continue;
             };
             let edge = net.graph().edge(e).expect("valid edge");
-            assert_eq!((edge.src, edge.dst.index()), (u, v), "{label}: edge ends");
+            assert_eq!(edge.dst.index(), v, "{label}: edge ends");
+            let u = edge.src;
             let w = cost.edge_transfer_ms(net, e, x.key.payload());
             assert_eq!(
                 (dist[u.index()] + w).to_bits(),
@@ -166,8 +167,8 @@ fn assert_exact_and_tight(label: &str, net: &Network, cost: CostModel, a: &[Cach
             // tight links with positive costs cannot cycle, but check the
             // walk home anyway
             let (mut at, mut hops) = (v, 0);
-            while let Some((p, _)) = prev[at] {
-                at = p.index();
+            while let Some(e) = x.tree.entering(at) {
+                at = net.graph().edge(e).expect("valid edge").src.index();
                 hops += 1;
                 assert!(hops <= dist.len(), "{label}: predecessor cycle");
             }
@@ -272,8 +273,8 @@ fn churn_shaped_crash_restore_cut_chain_equals_a_cold_build() {
     // crash the busiest relay: the node most trees route through
     let mut through = vec![0usize; base.node_count()];
     for e in &entries {
-        for (u, _) in e.tree.prev.iter().flatten() {
-            through[u.index()] += 1;
+        for id in (0..base.node_count()).filter_map(|v| e.tree.entering(v)) {
+            through[base.graph().edge(id).expect("valid edge").src.index()] += 1;
         }
     }
     let relay = NodeId::from_index(
@@ -285,13 +286,9 @@ fn churn_shaped_crash_restore_cut_chain_equals_a_cold_build() {
     crashed.fail_node(relay).expect("valid node");
     // then restore it, then cut the first tree's first link
     let restored = base.clone();
-    let cut_edge = entries[0]
-        .tree
-        .prev
-        .iter()
-        .flatten()
-        .map(|&(_, e)| EdgeId(e.0 & !1))
-        .next()
+    let cut_edge = (0..base.node_count())
+        .find_map(|v| entries[0].tree.entering(v))
+        .map(|e| EdgeId(e.0 & !1))
         .expect("the first tree reaches some node");
     let mut cut = base.clone();
     cut.fail_link_symmetric(cut_edge).expect("valid link");

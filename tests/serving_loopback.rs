@@ -440,6 +440,49 @@ fn evicted_keys_fall_back_to_inline_requests() {
     assert_ledger_exact(&stats);
 }
 
+/// `bank_tree_bytes` is what the bank holds: three distinct networks
+/// through a 2-slot bank leave the last two closures, each tree 12 bytes
+/// per node, and each closure the trees a direct solve builds.
+#[test]
+fn stats_report_the_bytes_of_the_banked_trees() {
+    let socket = socket_path("tree-bytes");
+    let server = Server::bind(
+        &socket,
+        ServerConfig {
+            workers: 1,
+            bank_capacity: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let mut client = Client::connect(&socket).expect("connect");
+    let (nodes, dp) = (12, "elpc_delay_routed");
+    let spec = InstanceSpec::sized(4, nodes, 26);
+    let instances: Vec<ProblemInstance> = (0..3)
+        .map(|seed| spec.generate(505 + seed).expect("gen"))
+        .collect();
+    assert_eq!(client.stats().expect("stats").bank_tree_bytes, 0);
+    for inst in &instances {
+        served_outcome(&mut client, inst, dp, 1);
+    }
+    let trees = |inst: &ProblemInstance| {
+        let ctx = SolveContext::with_threads(inst.as_instance(), CostModel::default(), 1);
+        let solver = elpc_mapping::solver(dp).expect("registry solver");
+        solver.solve(&ctx).expect("solves");
+        ctx.closure().cached_trees() as u64
+    };
+    let held: Vec<u64> = instances[1..].iter().map(trees).collect();
+    assert!(held.iter().all(|&t| t > 0));
+    let stats = server.shutdown();
+    assert_eq!(stats.bank_deposits, 3);
+    assert_eq!(
+        stats.bank_tree_bytes,
+        held.iter().sum::<u64>() * nodes as u64 * 12,
+        "the first network was evicted"
+    );
+    assert_ledger_exact(&stats);
+}
+
 /// A daemon restarted under one `Client`: the reconnect forgets every key,
 /// so requests reach the empty daemon inline, never as a stale key, until
 /// it acknowledges the network again.
